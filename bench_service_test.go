@@ -77,12 +77,12 @@ func BenchmarkServiceThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkServiceThroughputParallel is the sharded-core scaling probe:
+// BenchmarkServiceThroughputParallel is the service's contention probe:
 // every benchmark goroutine is an independent closed-loop client doing
 // synchronous submit→Wait round trips, so intake, dispatch and
-// retirement contend from as many directions as GOMAXPROCS allows.
-// Compare runs at -cpu 1,2,4,8: with the per-shard stores the jobs/s
-// figure should grow with cores instead of flatlining on a global lock.
+// retirement contend on the job store and the run queue from as many
+// directions as GOMAXPROCS allows. Compare runs at -cpu 1,2,4,8 to see
+// how jobs/s moves with cores.
 func BenchmarkServiceThroughputParallel(b *testing.B) {
 	var buf bytes.Buffer
 	if _, err := instdb.Build(&buf, []string{"u_i_hihi.0@64x8"}); err != nil {

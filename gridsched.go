@@ -382,14 +382,11 @@ const (
 	JobCancelled = service.StateCancelled
 )
 
-// ServiceStats, ServiceSolverStats and ServiceShardStats are the
-// service's counters snapshot: totals, the per-solver breakdown, and
-// the per-shard breakdown of the sharded core (submission, retirement
-// and steal counts plus live queue gauges for each worker shard).
+// ServiceStats and ServiceSolverStats are the service's counters
+// snapshot: totals and the per-solver breakdown.
 type (
 	ServiceStats       = service.Stats
 	ServiceSolverStats = service.SolverStats
-	ServiceShardStats  = service.ShardStats
 )
 
 // Service sentinel errors.

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-type shard struct {
+type store struct {
 	mu   sync.Mutex
 	rw   sync.RWMutex
 	ch   chan int
@@ -16,87 +16,87 @@ type shard struct {
 }
 
 // sendHeld blocks on a send under the lock: flagged.
-func (sh *shard) sendHeld() {
-	sh.mu.Lock()
-	sh.ch <- 1 // want `channel send while "sh.mu" is held`
-	sh.mu.Unlock()
+func (s *store) sendHeld() {
+	s.mu.Lock()
+	s.ch <- 1 // want `channel send while "s.mu" is held`
+	s.mu.Unlock()
 }
 
 // recvHeld blocks on a receive under a deferred unlock (which only
 // releases at return): flagged.
-func (sh *shard) recvHeld() int {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return <-sh.ch // want `channel receive while "sh.mu" is held`
+func (s *store) recvHeld() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return <-s.ch // want `channel receive while "s.mu" is held`
 }
 
 // waitHeld parks on a WaitGroup under the lock: flagged.
-func (sh *shard) waitHeld() {
-	sh.mu.Lock()
-	sh.wg.Wait() // want `sync sh.wg.Wait while "sh.mu" is held`
-	sh.mu.Unlock()
+func (s *store) waitHeld() {
+	s.mu.Lock()
+	s.wg.Wait() // want `sync s.wg.Wait while "s.mu" is held`
+	s.mu.Unlock()
 }
 
 // sleepHeld sleeps under a read lock: flagged.
-func (sh *shard) sleepHeld() {
-	sh.rw.RLock()
-	time.Sleep(time.Millisecond) // want `time.Sleep while "sh.rw" is held`
-	sh.rw.RUnlock()
+func (s *store) sleepHeld() {
+	s.rw.RLock()
+	time.Sleep(time.Millisecond) // want `time.Sleep while "s.rw" is held`
+	s.rw.RUnlock()
 }
 
 // blockingSelectHeld has no default case: flagged.
-func (sh *shard) blockingSelectHeld() {
-	sh.mu.Lock()
-	select { // want `blocking select while "sh.mu" is held`
-	case <-sh.done:
-	case sh.ch <- 1:
+func (s *store) blockingSelectHeld() {
+	s.mu.Lock()
+	select { // want `blocking select while "s.mu" is held`
+	case <-s.done:
+	case s.ch <- 1:
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 }
 
 // trySendHeld is the sanctioned wake pattern — a default case makes
 // the select non-blocking: clean.
-func (sh *shard) trySendHeld() {
-	sh.mu.Lock()
+func (s *store) trySendHeld() {
+	s.mu.Lock()
 	select {
-	case sh.ch <- 1:
+	case s.ch <- 1:
 	default:
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 }
 
 // unlockFirst releases before blocking: clean.
-func (sh *shard) unlockFirst() int {
-	sh.mu.Lock()
-	n := len(sh.ch)
-	sh.mu.Unlock()
-	return n + <-sh.ch
+func (s *store) unlockFirst() int {
+	s.mu.Lock()
+	n := len(s.ch)
+	s.mu.Unlock()
+	return n + <-s.ch
 }
 
 // branchRelease unlocks on the early-return path before blocking, and
 // on the fallthrough path before returning: clean.
-func (sh *shard) branchRelease(fast bool) int {
-	sh.mu.Lock()
+func (s *store) branchRelease(fast bool) int {
+	s.mu.Lock()
 	if fast {
-		sh.mu.Unlock()
-		return <-sh.ch
+		s.mu.Unlock()
+		return <-s.ch
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 	return 0
 }
 
 // spawn hands blocking work to a goroutine; the literal's body does
 // not run under the creator's lock: clean.
-func (sh *shard) spawn() {
-	sh.mu.Lock()
-	go func() { sh.ch <- 1 }()
-	sh.mu.Unlock()
+func (s *store) spawn() {
+	s.mu.Lock()
+	go func() { s.ch <- 1 }()
+	s.mu.Unlock()
 }
 
 // justified carries the escape hatch with a reason: suppressed.
-func (sh *shard) justified() {
-	sh.mu.Lock()
+func (s *store) justified() {
+	s.mu.Lock()
 	//lint:ignore lockhold fixture: channel is buffered to the writer count, the send cannot block
-	sh.ch <- 1
-	sh.mu.Unlock()
+	s.ch <- 1
+	s.mu.Unlock()
 }

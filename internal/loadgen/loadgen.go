@@ -207,82 +207,6 @@ type Report struct {
 	// polling quantization).
 	SubmitLatency LatencySummary `json:"submit_latency"`
 	E2ELatency    LatencySummary `json:"e2e_latency"`
-
-	// Shards breaks the run down by service worker shard, from the
-	// /v1/stats epoch snapshots taken at the start and end of the
-	// measured window. Empty when the target does not report shards.
-	Shards []ShardReport `json:"shards,omitempty"`
-}
-
-// ShardReport is the measured-window delta for one worker shard of the
-// target service. JobsPerSec is the shard's retirement rate over the
-// window (stolen jobs count on the shard whose worker executed them);
-// QueueDepthPeak is the server-lifetime high-water mark of the shard's
-// queue. Because the service reconciles shard counters into snapshots
-// on an epoch cadence, both window endpoints lag truth equally and the
-// deltas stay honest.
-type ShardReport struct {
-	Shard          int     `json:"shard"`
-	Finished       int64   `json:"finished"`
-	Stolen         int64   `json:"stolen"`
-	JobsPerSec     float64 `json:"jobs_per_sec"`
-	QueueDepthPeak int     `json:"queue_depth_peak"`
-}
-
-// shardStatsView is the slice of the /v1/stats shard entry the
-// generator needs.
-type shardStatsView struct {
-	Shard          int   `json:"shard"`
-	Finished       int64 `json:"finished"`
-	Stolen         int64 `json:"stolen"`
-	QueueDepthPeak int   `json:"queue_depth_peak"`
-}
-
-// fetchShardStats reads the per-shard counters from /v1/stats.
-func fetchShardStats(ctx context.Context, cfg Config) ([]shardStatsView, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cfg.BaseURL+"/v1/stats", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := cfg.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("loadgen: GET /v1/stats: status %d", resp.StatusCode)
-	}
-	var body struct {
-		Shards []shardStatsView `json:"shards"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return nil, err
-	}
-	return body.Shards, nil
-}
-
-// shardBreakdown turns before/after shard snapshots into window deltas.
-func shardBreakdown(before, after []shardStatsView, measured time.Duration) []ShardReport {
-	if len(after) == 0 || measured <= 0 {
-		return nil
-	}
-	base := map[int]shardStatsView{}
-	for _, s := range before {
-		base[s.Shard] = s
-	}
-	out := make([]ShardReport, 0, len(after))
-	for _, s := range after {
-		b := base[s.Shard] // zero-valued when the shard is new to us
-		out = append(out, ShardReport{
-			Shard:          s.Shard,
-			Finished:       s.Finished - b.Finished,
-			Stolen:         s.Stolen - b.Stolen,
-			JobsPerSec:     float64(s.Finished-b.Finished) / measured.Seconds(),
-			QueueDepthPeak: s.QueueDepthPeak,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Shard < out[j].Shard })
-	return out
 }
 
 // String renders the report as a human-readable block.
@@ -298,10 +222,6 @@ func (r *Report) String() string {
 	fmt.Fprintf(&b, "  throughput: %.1f jobs/s\n", r.AchievedQPS)
 	fmt.Fprintf(&b, "  submit latency: %s\n", formatSummary(r.SubmitLatency))
 	fmt.Fprintf(&b, "  e2e latency:    %s\n", formatSummary(r.E2ELatency))
-	for _, s := range r.Shards {
-		fmt.Fprintf(&b, "  shard %d: %.1f jobs/s (%d finished, %d stolen, queue peak %d)\n",
-			s.Shard, s.JobsPerSec, s.Finished, s.Stolen, s.QueueDepthPeak)
-	}
 	return b.String()
 }
 
@@ -384,21 +304,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		}()
 	}
 
-	// Per-shard breakdown endpoints: one stats snapshot as the measured
-	// window opens, one after the pool drains. Best-effort — a target
-	// without a shards array just yields no breakdown.
-	var beforeShards []shardStatsView
-	shardSampled := make(chan struct{})
-	go func() {
-		defer close(shardSampled)
-		select {
-		case <-runCtx.Done():
-			return
-		case <-time.After(time.Until(measureFrom)):
-		}
-		beforeShards, _ = fetchShardStats(runCtx, cfg)
-	}()
-
 	col := &collector{}
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Concurrency; i++ {
@@ -409,7 +314,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		}(i)
 	}
 	wg.Wait()
-	<-shardSampled
 
 	measured := time.Since(measureFrom)
 	if measured > cfg.Duration {
@@ -418,15 +322,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if measured <= 0 {
 		return nil, fmt.Errorf("loadgen: run ended before the warmup finished")
 	}
-
-	// Close the shard window on a fresh context (runCtx is past its
-	// deadline). Every job the pool polled terminal has already been
-	// folded into its shard's delta and poked the coordinator, so a
-	// short settle covers the merge coalesce.
-	afterCtx, afterCancel := context.WithTimeout(context.Background(), 5*time.Second)
-	time.Sleep(20 * time.Millisecond)
-	afterShards, _ := fetchShardStats(afterCtx, cfg)
-	afterCancel()
 
 	col.mu.Lock()
 	defer col.mu.Unlock()
@@ -443,7 +338,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		AchievedQPS:   float64(col.completed) / measured.Seconds(),
 		SubmitLatency: summarize(col.submitLat),
 		E2ELatency:    summarize(col.e2eLat),
-		Shards:        shardBreakdown(beforeShards, afterShards, measured),
 	}
 	return rep, nil
 }
@@ -475,7 +369,7 @@ func client(ctx context.Context, cfg Config, r *rng.Rand, solvers, instances *mi
 
 		t0 := time.Now()
 		measured := !t0.Before(measureFrom)
-		view, status, err := postJob(ctx, cfg, body)
+		view, status, err := postJob(cfg, body)
 		submitLat := time.Since(t0)
 		if err != nil {
 			// Transport errors at shutdown are expected; anything else is
@@ -535,8 +429,18 @@ func client(ctx context.Context, cfg Config, r *rng.Rand, solvers, instances *mi
 	}
 }
 
-// postJob submits one job and decodes the response.
-func postJob(ctx context.Context, cfg Config, body []byte) (jobView, int, error) {
+// drainGrace bounds the requests a client still makes after the run
+// deadline: finishing a submit and polling its job to a terminal state.
+const drainGrace = 10 * time.Second
+
+// postJob submits one job and decodes the response. The request is
+// not cut off at the run deadline: the server may already have
+// accepted a job whose response the deadline would discard, and that
+// job would then run on unpolled after Run returned. Like the polls
+// that follow it, the submit is bounded by drainGrace instead.
+func postJob(cfg Config, body []byte) (jobView, int, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), drainGrace)
+	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, cfg.BaseURL+"/v1/jobs", bytes.NewReader(body))
 	if err != nil {
 		return jobView{}, 0, err
@@ -557,7 +461,7 @@ func postJob(ctx context.Context, cfg Config, body []byte) (jobView, int, error)
 func pollJob(ctx context.Context, cfg Config, id string) string {
 	// After the run deadline, give in-flight jobs a grace window on a
 	// fresh context so the report counts them instead of dropping them.
-	graceCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	graceCtx, cancel := context.WithTimeout(context.Background(), drainGrace)
 	defer cancel()
 	for {
 		req, err := http.NewRequestWithContext(graceCtx, http.MethodGet, cfg.BaseURL+"/v1/jobs/"+id, nil)

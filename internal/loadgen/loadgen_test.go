@@ -124,21 +124,16 @@ func TestClosedLoopAgainstService(t *testing.T) {
 		t.Error("empty text report")
 	}
 
-	// The per-shard breakdown accounts for (at least) every completed
-	// job in the window — shard counters also include warmup jobs that
-	// retired after the window opened, so >= not ==.
-	if len(rep.Shards) == 0 {
-		t.Fatalf("report missing the shard breakdown: %+v", rep)
+	// The service's own stats account for (at least) every job the
+	// window saw finish. Stats count a job in the step that makes it
+	// terminal, so a plain read after Run is exact; it also counts
+	// warmup jobs, hence >= not ==.
+	var retired int64
+	for _, sv := range svc.Stats().Solvers {
+		retired += sv.Done + sv.Failed + sv.Cancelled
 	}
-	var shardFinished int64
-	for _, s := range rep.Shards {
-		if s.Finished < 0 || s.Stolen < 0 || s.JobsPerSec < 0 {
-			t.Errorf("negative shard delta: %+v", s)
-		}
-		shardFinished += s.Finished
-	}
-	if shardFinished < rep.Completed {
-		t.Errorf("shards account for %d finished jobs, but %d completed in the window", shardFinished, rep.Completed)
+	if want := rep.Completed + rep.Failed + rep.Cancelled; retired < want {
+		t.Errorf("service stats count %d retired jobs, but the window saw %d finish", retired, want)
 	}
 
 	// The closed loop really closed: the service saw every submitted job

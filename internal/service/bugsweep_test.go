@@ -16,27 +16,16 @@ import (
 // not ±Inf/NaN — rates, and the whole snapshot must survive
 // encoding/json, which refuses non-finite floats.
 func TestStatsZeroDurationJobMarshals(t *testing.T) {
-	sh := newShard(0)
+	tab := newSolverTable()
 	now := time.Now()
-	sh.retire("minmin", Job{
-		State:       StateDone,
-		StartedAt:   now,
-		FinishedAt:  now, // zero-duration run
-		Result:      &JobResult{Evaluations: 123},
-		SubmittedAt: now,
-	}, false)
+	mm, _ := tab.lookup("minmin")
+	mm.fold(StateDone, now, now, 123) // zero-duration run
 	// A retired-while-queued job contributes no busy sample at all:
 	// ran stays 0 for its solver.
-	sh.retire("maxmin", Job{State: StateCancelled, Result: &JobResult{Evaluations: 7}}, false)
+	mx, _ := tab.lookup("maxmin")
+	mx.fold(StateCancelled, time.Time{}, time.Time{}, 7)
 
-	var st Stats
-	_, _, per := sh.drainDelta()
-	for name, c := range per {
-		st.Solvers = append(st.Solvers, deriveSolverStats(name, c))
-	}
-	if len(st.Solvers) != 2 {
-		t.Fatalf("drained delta has %d solvers, want 2", len(st.Solvers))
-	}
+	st := Stats{Solvers: []SolverStats{mm.snapshot(), mx.snapshot()}}
 	for _, sv := range st.Solvers {
 		if math.IsInf(sv.EvalsPerSecond, 0) || math.IsNaN(sv.EvalsPerSecond) {
 			t.Fatalf("%s: EvalsPerSecond = %v, want finite", sv.Solver, sv.EvalsPerSecond)

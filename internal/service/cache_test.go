@@ -69,24 +69,21 @@ func TestInstanceCacheFailedJoinAccounting(t *testing.T) {
 	// installed by hand so the join is deterministic (no race against a
 	// fast generator). The waiter must report the error and leave both
 	// counters untouched.
-	// The entry is installed before get runs on this goroutine, so the
-	// join is certain; the helper then fails the flight (p.err is
-	// visible to the waiter via the channel close, mirroring the real
-	// generation path).
-	p := &pendingGen{done: make(chan struct{})}
+	// The flight is already failed when get runs, and its entry stays
+	// in pending until get returns, so get is certain to find and join
+	// it; removing the entry from another goroutine could let get miss
+	// it and start a generation of its own.
+	p := &pendingGen{done: make(chan struct{}), err: errGenerationFailed}
+	close(p.done)
 	c.mu.Lock()
 	c.pending[bad] = p
 	c.mu.Unlock()
-	go func() {
-		p.err = errGenerationFailed
-		c.mu.Lock()
-		delete(c.pending, bad)
-		c.mu.Unlock()
-		close(p.done)
-	}()
 	if _, err := c.get(bad); err != errGenerationFailed {
 		t.Fatalf("joined waiter error = %v, want %v", err, errGenerationFailed)
 	}
+	c.mu.Lock()
+	delete(c.pending, bad)
+	c.mu.Unlock()
 	if hits, misses, joins, _ := c.counters(); hits != 0 || misses != 1 || joins != 0 {
 		t.Fatalf("after failed join: %d hits, %d misses, %d joins; want 0/1/0 (failed joins count as nothing)", hits, misses, joins)
 	}
@@ -114,22 +111,17 @@ func TestInstanceCacheSuccessfulJoinCountsAsJoin(t *testing.T) {
 
 	// Generate the real instance up front (through a second cache so
 	// counters on c stay clean), then hand-install a pending flight
-	// that resolves to it.
+	// that has resolved to it. The entry stays in pending while get
+	// runs, so get is certain to join it rather than miss.
 	inst, err := newInstanceCache(2).get(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &pendingGen{done: make(chan struct{})}
+	p := &pendingGen{done: make(chan struct{}), inst: inst}
+	close(p.done)
 	c.mu.Lock()
 	c.pending[name] = p
 	c.mu.Unlock()
-	go func() {
-		p.inst = inst
-		c.mu.Lock()
-		delete(c.pending, name)
-		c.mu.Unlock()
-		close(p.done)
-	}()
 
 	got, err := c.get(name)
 	if err != nil {

@@ -443,29 +443,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			EvalsPerSecond: sv.EvalsPerSecond,
 		}
 	}
-	type shardStatsJSON struct {
-		Shard          int   `json:"shard"`
-		Submitted      int64 `json:"submitted"`
-		Finished       int64 `json:"finished"`
-		Stolen         int64 `json:"stolen"`
-		Queued         int   `json:"queued"`
-		Running        int   `json:"running"`
-		Retained       int   `json:"retained"`
-		QueueDepthPeak int   `json:"queue_depth_peak"`
-	}
-	shards := make([]shardStatsJSON, len(st.Shards))
-	for i, sh := range st.Shards {
-		shards[i] = shardStatsJSON{
-			Shard:          sh.Shard,
-			Submitted:      sh.Submitted,
-			Finished:       sh.Finished,
-			Stolen:         sh.Stolen,
-			Queued:         sh.Queued,
-			Running:        sh.Running,
-			Retained:       sh.Retained,
-			QueueDepthPeak: sh.QueueDepthPeak,
-		}
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"uptime":         st.Uptime.String(),
 		"workers":        st.Workers,
@@ -474,8 +451,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"running":        st.Running,
 		"retained":       st.Retained,
 		"evicted":        st.Evicted,
-		"epoch":          st.Epoch,
-		"shards":         shards,
 		"cache": map[string]any{
 			"hits":    st.CacheHits,
 			"misses":  st.CacheMisses,

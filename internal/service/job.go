@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"errors"
-	"sort"
 	"sync"
 	"time"
 
@@ -115,16 +114,17 @@ type JobResult struct {
 }
 
 // job is the manager's mutable record behind Job snapshots. id is
-// assigned under the owning shard's lock at enqueue and immutable
-// afterwards; home is the owning shard, whose live gauges the state
-// transitions below keep current.
+// assigned under the store lock at enqueue and immutable afterwards.
+// The state transitions below keep the server's live gauges current
+// and fold the job into its solver's counters when it turns terminal.
 type job struct {
 	id     string
 	spec   JobSpec
 	solver solver.Solver
 	inst   *etc.Instance
 	budget solver.Budget
-	home   *shard
+	gauges *gauges
+	ctr    *solverCounters
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -157,7 +157,7 @@ type job struct {
 	err       error
 }
 
-func newJob(spec JobSpec, sv solver.Solver, inst *etc.Instance, b solver.Budget, parent context.Context, home *shard) *job {
+func newJob(spec JobSpec, sv solver.Solver, inst *etc.Instance, b solver.Budget, parent context.Context, g *gauges, ctr *solverCounters) *job {
 	ctx, cancel := context.WithCancel(parent)
 	trace := obs.NewRecorder(0)
 	j := &job{
@@ -165,7 +165,8 @@ func newJob(spec JobSpec, sv solver.Solver, inst *etc.Instance, b solver.Budget,
 		solver: sv,
 		inst:   inst,
 		budget: b,
-		home:   home,
+		gauges: g,
+		ctr:    ctr,
 		// Every job carries its trace recorder as the solve context's
 		// observer, so any engine the solver builds emits its
 		// convergence events into the job's trace.
@@ -201,8 +202,8 @@ func (j *job) begin() bool {
 	}
 	j.st = StateRunning
 	j.started = time.Now()
-	j.home.queued.Add(-1)
-	j.home.running.Add(1)
+	j.gauges.queued.Add(-1)
+	j.gauges.running.Add(1)
 	j.timeline.Mark("solving")
 	return true
 }
@@ -215,8 +216,9 @@ func (j *job) begin() bool {
 // StateFailed. A genuine solver error still reports StateFailed even
 // when a cancel raced it, so failure detail is never masked.
 //
-// finish does NOT release Wait waiters: the worker folds the retired
-// job into the stats delta and metrics first and then calls
+// The job is folded into its solver's counters in the same critical
+// section that makes it terminal. finish does NOT release Wait
+// waiters: the worker records the event metrics first and then calls
 // signalDone, so a Wait-then-read of any counter observes the job.
 func (j *job) finish(res *solver.Result, err error) {
 	j.mu.Lock()
@@ -232,7 +234,8 @@ func (j *job) finish(res *solver.Result, err error) {
 	default:
 		j.st = StateDone
 	}
-	j.home.running.Add(-1)
+	j.gauges.running.Add(-1)
+	j.retireLocked()
 	j.timeline.Mark(string(j.st))
 	j.mu.Unlock()
 	j.cancel() // release the context's resources
@@ -259,12 +262,27 @@ func (j *job) requestCancel() {
 	if j.st == StateQueued {
 		j.st = StateCancelled
 		j.finished = time.Now()
-		j.home.queued.Add(-1)
+		j.gauges.queued.Add(-1)
+		j.retireLocked()
 		j.timeline.Mark(string(StateCancelled))
 		j.closeDoneLocked()
 	}
 	j.mu.Unlock()
 	j.cancel()
+}
+
+// retireLocked folds the job, which the caller has just made terminal
+// under j.mu, into its solver's counters. Counting inside that critical
+// section means any reader that observes the terminal state (Wait, a
+// job poll) also observes it counted, and a job retires exactly once:
+// the terminal check in requestCancel and begin keeps a second
+// transition from reaching here.
+func (j *job) retireLocked() {
+	var evals int64
+	if r := j.result; r != nil && r.Best != nil {
+		evals = r.Evaluations
+	}
+	j.ctr.fold(j.st, j.started, j.finished, evals)
 }
 
 // release frees the job's context when it was never enqueued.
@@ -330,16 +348,4 @@ func (j *job) snapshot() Job {
 		}
 	}
 	return out
-}
-
-// sortJobs orders snapshots newest first. IDs are monotonic only
-// within a shard, so ordering keys on the submit time, with the ID as
-// a deterministic tie-break.
-func sortJobs(jobs []Job) {
-	sort.Slice(jobs, func(a, b int) bool {
-		if !jobs[a].SubmittedAt.Equal(jobs[b].SubmittedAt) {
-			return jobs[a].SubmittedAt.After(jobs[b].SubmittedAt)
-		}
-		return jobs[a].ID > jobs[b].ID
-	})
 }

@@ -77,10 +77,8 @@ func TestSolverPanicContained(t *testing.T) {
 		fmt.Sprintf(`gridsched_jobs_finished_total{state="panic"} %d`, panics)) {
 		t.Errorf("/metrics missing the panic-labelled finish count:\n%s", body)
 	}
-	// The stats book files them as failures of the panicking solver
-	// (SyncStats forces an epoch merge: the retirements are in the shard
-	// deltas by Wait-return, but not necessarily merged yet).
-	for _, s := range svc.SyncStats().Solvers {
+	// The stats book files them as failures of the panicking solver.
+	for _, s := range svc.Stats().Solvers {
 		if s.Solver == "test-panic" && s.Failed != panics {
 			t.Errorf("test-panic failed count = %d, want %d", s.Failed, panics)
 		}

@@ -1,20 +1,15 @@
 // Package service turns the solver library into a long-running
 // scheduling service: clients submit solve jobs (an ETC instance spec
 // or an inline matrix, a registered solver name, and a budget), jobs
-// land on per-shard bounded queues, and a fixed pool of workers
-// executes them through solver.Lookup with a per-job context, so
-// cancellation and deadlines ride the shared budget engine.
+// land on one bounded run queue, and a fixed pool of workers executes
+// them through solver.Lookup with a per-job context, so cancellation
+// and deadlines ride the shared budget engine.
 //
-// The core is sharded for multi-core scale: each shard owns a local
-// job store, a local run queue and local stats counters, and every
-// job's ID carries its shard index, so the Submit→dispatch→finish hot
-// path and all by-ID lookups touch only shard-local state. Idle
-// workers steal queued jobs from loaded neighbors so a skewed submit
-// mix still saturates every shard. A coordinator goroutine advances
-// epochs, merging per-shard retirement deltas into an immutable
-// snapshot; /v1/stats and /metrics are served from the latest epoch
-// snapshot plus live atomic gauges, with zero lock acquisition on the
-// read path.
+// The core is one job store (a map under one mutex) and one run queue
+// (a bounded channel the workers range over). Live gauges and the
+// per-solver retirement counters are atomics: a job is counted in the
+// same step that makes it terminal, so /v1/stats and /metrics take no
+// lock and still include every job a caller has already seen finish.
 //
 // Around that core the package provides a job manager with stable job
 // IDs and a queued → running → done/failed/cancelled lifecycle, result
@@ -31,6 +26,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"log/slog"
 	"runtime"
 	"sort"
@@ -67,22 +63,11 @@ var (
 // falls back to the default documented on it.
 type Config struct {
 	// Workers is the number of concurrent solve workers (default
-	// GOMAXPROCS). Each worker runs one job at a time, pinned to a home
-	// shard (worker i → shard i mod Shards).
+	// GOMAXPROCS). Each worker runs one job at a time.
 	Workers int
-	// Shards is the number of service shards — independent job stores,
-	// run queues and stats counters (default min(Workers, GOMAXPROCS),
-	// floored at 1). More shards than workers is allowed; the extra
-	// queues are served by stealing.
-	Shards int
-	// QueueSize bounds the total queued jobs across all shards; submits
-	// beyond it fail with ErrQueueFull (default 64).
+	// QueueSize bounds the run queue; submits beyond it fail with
+	// ErrQueueFull (default 64).
 	QueueSize int
-	// EpochInterval is the fallback cadence of the stats coordinator's
-	// epoch merges (default 100ms). Retiring jobs poke the coordinator,
-	// so under load merges happen within ~1ms of work finishing; the
-	// tick only bounds staleness when pokes are lost to a full channel.
-	EpochInterval time.Duration
 	// ResultTTL is how long a finished job (done, failed or cancelled)
 	// stays retrievable before the janitor evicts it (default 15 min).
 	ResultTTL time.Duration
@@ -132,17 +117,8 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.Shards <= 0 {
-		c.Shards = min(c.Workers, runtime.GOMAXPROCS(0))
-		if c.Shards < 1 {
-			c.Shards = 1
-		}
-	}
 	if c.QueueSize <= 0 {
 		c.QueueSize = 64
-	}
-	if c.EpochInterval <= 0 {
-		c.EpochInterval = 100 * time.Millisecond
 	}
 	if c.ResultTTL <= 0 {
 		c.ResultTTL = 15 * time.Minute
@@ -165,75 +141,59 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the scheduling service: sharded job stores and run queues,
-// a pinned worker pool with work stealing, an epoch-merged stats book
-// and an instance cache behind one embeddable API. Create it with New,
-// submit with Submit, and stop it with Shutdown. All methods are safe
-// for concurrent use.
+// Server is the scheduling service: one job store, one run queue, a
+// worker pool and an instance cache behind one embeddable API. Create
+// it with New, submit with Submit, and stop it with Shutdown. All
+// methods are safe for concurrent use.
 type Server struct {
-	cfg   Config
-	cache *instanceCache
-	met   *serverMetrics
-	log   *slog.Logger
-	start time.Time
+	cfg     Config
+	cache   *instanceCache
+	met     *serverMetrics
+	log     *slog.Logger
+	start   time.Time
+	solvers solverTable
+	gauges  gauges
 
 	baseCtx context.Context // parent of every job context
 	stop    context.CancelFunc
 
-	shards    []*shard
-	nextShard atomic.Uint64 // round-robin intake cursor
-	queueLen  atomic.Int64  // occupied queue slots across all shards
-	wakeAll   chan struct{} // overflow wakeups: any idle worker may steal
-	drainCh   chan struct{} // closed by BeginDrain; wakes sleeping workers
-	closed    atomic.Bool
-
+	queue   chan *job
 	workers sync.WaitGroup
-	bg      sync.WaitGroup // janitor + coordinator
+	janitor sync.WaitGroup
 
+	closed      atomic.Bool // set under mu; read lock-free by Draining
 	evicted     atomic.Int64
 	storeServes atomic.Int64 // named resolutions served by InstanceDB
 
-	// Epoch reconciliation: merge() (serialized by mergeMu) drains every
-	// shard's delta into the cumulative book and publishes an immutable
-	// snapshot; readers load snap with no lock.
-	snap       atomic.Pointer[statSnapshot]
-	poke       chan struct{}
-	mergeMu    sync.Mutex
-	epoch      uint64
-	cumSolvers map[string]*solverCounters
-	cumShards  []shardCum
+	// mu guards the job store and every send on (and the close of)
+	// queue.
+	mu   sync.Mutex
+	seq  uint64
+	jobs map[string]*job
 }
 
-// New starts a Server: its worker pool, stats coordinator and
-// retention janitor run until Shutdown.
+// New starts a Server: its worker pool and retention janitor run until
+// Shutdown.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:        cfg,
-		cache:      newInstanceCache(cfg.CacheSize),
-		log:        cfg.Logger,
-		start:      time.Now(),
-		baseCtx:    ctx,
-		stop:       cancel,
-		shards:     make([]*shard, cfg.Shards),
-		wakeAll:    make(chan struct{}, cfg.Workers),
-		drainCh:    make(chan struct{}),
-		poke:       make(chan struct{}, 1),
-		cumSolvers: make(map[string]*solverCounters),
-		cumShards:  make([]shardCum, cfg.Shards),
+		cfg:     cfg,
+		cache:   newInstanceCache(cfg.CacheSize),
+		log:     cfg.Logger,
+		start:   time.Now(),
+		solvers: newSolverTable(),
+		baseCtx: ctx,
+		stop:    cancel,
+		queue:   make(chan *job, cfg.QueueSize),
+		jobs:    make(map[string]*job),
 	}
-	for i := range s.shards {
-		s.shards[i] = newShard(i)
-	}
-	s.snap.Store(emptySnapshot(cfg.Shards))
 	s.met = newServerMetrics(s)
 	s.workers.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
-		go s.runWorker(i % cfg.Shards)
+		go s.worker()
 	}
-	s.bg.Add(2)
-	go s.coordinate()
+	s.janitor.Add(1)
 	go s.sweepLoop()
 	return s
 }
@@ -241,10 +201,10 @@ func New(cfg Config) *Server {
 // Config returns the effective (defaulted) configuration.
 func (s *Server) Config() Config { return s.cfg }
 
-// Submit validates the spec, assigns a job ID and enqueues the job on
-// a shard. It fails fast: an unknown solver or a bad instance spec is
-// reported here (never as a failed job), and a full queue returns
-// ErrQueueFull so callers can apply backpressure.
+// Submit validates the spec, assigns a job ID and enqueues the job.
+// It fails fast: an unknown solver or a bad instance spec is reported
+// here (never as a failed job), and a full queue returns ErrQueueFull
+// so callers can apply backpressure.
 func (s *Server) Submit(spec JobSpec) (Job, error) {
 	j, err := s.submit(spec)
 	if err != nil {
@@ -266,6 +226,10 @@ func (s *Server) submit(spec JobSpec) (Job, error) {
 	if err != nil {
 		return Job{}, err
 	}
+	ctr, ok := s.solvers.lookup(spec.Solver)
+	if !ok {
+		return Job{}, fmt.Errorf("service: solver %q was registered after the server started", spec.Solver)
+	}
 	inst, err := s.resolveInstance(spec)
 	if err != nil {
 		return Job{}, err
@@ -277,64 +241,38 @@ func (s *Server) submit(spec JobSpec) (Job, error) {
 	if spec.Seed != 0 {
 		sv = solver.WithSeed(sv, spec.Seed)
 	}
-	if s.closed.Load() {
-		return Job{}, ErrClosed
-	}
-	// Reserve a queue slot before touching any shard: the bound is
-	// service-wide, checked with one atomic add, and released on every
-	// reject path below.
-	if s.queueLen.Add(1) > int64(s.cfg.QueueSize) {
-		s.queueLen.Add(-1)
-		return Job{}, ErrQueueFull
-	}
-	idx := int(s.nextShard.Add(1)-1) % len(s.shards)
-	sh := s.shards[idx]
-	j := newJob(spec, sv, inst, budget, s.baseCtx, sh)
+	j := newJob(spec, sv, inst, budget, s.baseCtx, &s.gauges, ctr)
 
-	sh.mu.Lock()
-	// Re-check under the shard lock: BeginDrain sets closed and then
-	// passes through every shard's lock, so a submit that got past this
-	// check has its job enqueued before the drain fence completes — the
-	// set of accepted jobs is closed once BeginDrain returns.
+	s.mu.Lock()
 	if s.closed.Load() {
-		sh.mu.Unlock()
-		s.queueLen.Add(-1)
+		s.mu.Unlock()
 		j.release()
 		return Job{}, ErrClosed
 	}
-	sh.seq++
-	j.id = jobID(idx, sh.seq)
-	sh.jobs[j.id] = j
-	sh.submitted.Add(1)
-	sh.retained.Add(1)
-	sh.noteQueued()
-	sh.q = append(sh.q, j)
-	sh.mu.Unlock()
-
-	// Wake the shard's pinned workers, and leave an overflow token so
-	// an idle worker on another shard can come steal if they're busy.
+	s.seq++
+	j.id = fmt.Sprintf("j%08d", s.seq)
+	// Count the job queued before a worker can dequeue it, so begin()
+	// never drives the gauge below zero.
+	s.gauges.queued.Add(1)
 	select {
-	case sh.wake <- struct{}{}:
+	case s.queue <- j:
 	default:
+		s.mu.Unlock()
+		s.gauges.queued.Add(-1)
+		j.release()
+		return Job{}, ErrQueueFull
 	}
-	select {
-	case s.wakeAll <- struct{}{}:
-	default:
-	}
+	s.jobs[j.id] = j
+	s.gauges.retained.Add(1)
+	s.mu.Unlock()
 	return j.snapshot(), nil
 }
 
-// lookupJob routes a job ID to its owning shard (the shard index rides
-// in the ID prefix) and returns the live record.
+// lookupJob returns the live record behind a job ID.
 func (s *Server) lookupJob(id string) (*job, bool) {
-	idx, ok := parseShardID(id)
-	if !ok || idx >= len(s.shards) {
-		return nil, false
-	}
-	sh := s.shards[idx]
-	sh.mu.Lock()
-	j, ok := sh.jobs[id]
-	sh.mu.Unlock()
+	s.mu.Lock()
+	j, ok := s.jobs[id]
+	s.mu.Unlock()
 	return j, ok
 }
 
@@ -375,20 +313,18 @@ func (s *Server) Jobs() []Job {
 
 // ListJobs snapshots retained jobs newest first, optionally filtered
 // by state ("" matches every state) and truncated to limit (0 means
-// unlimited). Matching runs per shard and snapshots are built only for
+// unlimited). Snapshots are built outside the store lock and only for
 // jobs that survive the filter and the cut, so listing a few jobs out
-// of a large retained set no longer copies everything under a lock.
+// of a large retained set does not copy everything under the lock.
 func (s *Server) ListJobs(state JobState, limit int) []Job {
 	var matched []*job
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for _, j := range sh.jobs {
-			if state == "" || j.state() == state {
-				matched = append(matched, j)
-			}
+	s.mu.Lock()
+	for _, j := range s.jobs {
+		if state == "" || j.state() == state {
+			matched = append(matched, j)
 		}
-		sh.mu.Unlock()
 	}
+	s.mu.Unlock()
 	// submitted and id are immutable after publication, so ordering and
 	// cutting need no locks; only the survivors pay for a snapshot.
 	sort.Slice(matched, func(a, b int) bool {
@@ -421,46 +357,29 @@ func (s *Server) Cancel(id string) (Job, error) {
 	return j.snapshot(), nil
 }
 
-// Stats returns the service-level and per-solver counters: live atomic
-// gauges (queued/running/retained, cache, store) plus the latest epoch
-// snapshot's merged retirement counters. It acquires no lock — safe to
-// call at any scrape rate regardless of what the shards are doing.
-// Per-solver counters trail live work by at most one epoch; SyncStats
-// forces a merge first when exactness right after a Wait matters.
+// Stats returns the service-level and per-solver counters. It reads
+// only atomics and acquires no lock, so it is safe to call at any
+// scrape rate. Solvers lists every solver that has retired a job, by
+// name; a job is in it as soon as any reader can see it terminal.
 func (s *Server) Stats() Stats {
-	snap := s.snap.Load()
 	st := Stats{
 		Uptime:        time.Since(s.start),
 		Workers:       s.cfg.Workers,
 		QueueCapacity: s.cfg.QueueSize,
-		Epoch:         snap.epoch,
+		Queued:        int(s.gauges.queued.Load()),
+		Running:       int(s.gauges.running.Load()),
+		Retained:      int(s.gauges.retained.Load()),
 		Evicted:       s.evicted.Load(),
 		StoreServes:   s.storeServes.Load(),
-		Solvers:       append([]SolverStats(nil), snap.solvers...),
 	}
 	st.CacheHits, st.CacheMisses, st.CacheJoins, st.CacheEntries = s.cache.counters()
 	if db := s.cfg.InstanceDB; db != nil {
 		st.StoreInstances = db.Len()
 	}
-	st.Shards = make([]ShardStats, len(s.shards))
-	for i, sh := range s.shards {
-		q, r, ret := sh.queued.Load(), sh.running.Load(), sh.retained.Load()
-		st.Queued += int(q)
-		st.Running += int(r)
-		st.Retained += int(ret)
-		ss := ShardStats{
-			Shard:          i,
-			Submitted:      sh.submitted.Load(),
-			Queued:         int(q),
-			Running:        int(r),
-			Retained:       int(ret),
-			QueueDepthPeak: int(sh.peakDepth.Load()),
+	for _, c := range s.solvers.list {
+		if sv := c.snapshot(); sv.Done+sv.Failed+sv.Cancelled > 0 {
+			st.Solvers = append(st.Solvers, sv)
 		}
-		if i < len(snap.shards) {
-			ss.Finished = snap.shards[i].finished
-			ss.Stolen = snap.shards[i].stolen
-		}
-		st.Shards[i] = ss
 	}
 	return st
 }
@@ -469,28 +388,23 @@ func (s *Server) Stats() Stats {
 // refused with ErrClosed, the health endpoint reports 503, queued and
 // running jobs continue. Call it before stopping an HTTP frontend so
 // in-flight clients observe the draining state; Shutdown calls it
-// implicitly. Idempotent. When BeginDrain returns, no further job can
-// be accepted: the pass through every shard lock fences out any submit
-// that raced the closed flag.
+// implicitly. Idempotent. The run queue is closed under the store
+// lock, after which no submit can be accepted and the workers exit
+// once they have drained it.
 func (s *Server) BeginDrain() {
-	if s.closed.Swap(true) {
-		return
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.closed.Swap(true) {
+		close(s.queue) // every send happens under mu after a closed check
 	}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		//lint:ignore SA2001 the empty critical section is the fence
-		sh.mu.Unlock()
-	}
-	close(s.drainCh)
 }
 
 // Shutdown drains the service: submits are refused, queued jobs still
 // execute, and Shutdown returns when every worker has exited — unless
 // ctx expires first, in which case all in-flight jobs are cancelled
 // (through their budget contexts) and the drain completes as fast as
-// the solvers' cancellation polls allow. The coordinator and janitor
-// are always stopped, with a final epoch merge so post-shutdown Stats
-// include every retired job. Shutdown is idempotent.
+// the solvers' cancellation polls allow. The janitor is always
+// stopped. Shutdown is idempotent.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.BeginDrain()
 
@@ -509,10 +423,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		<-done
 	}
 	s.stop()
-	s.bg.Wait()
-	// The coordinator's exit merge may have raced the last workers on a
-	// forced shutdown; one more merge makes post-shutdown stats final.
-	s.merge()
+	s.janitor.Wait()
 	return err
 }
 
@@ -531,7 +442,7 @@ func (s *Server) Close() error {
 
 // sweepLoop evicts finished jobs past their retention TTL.
 func (s *Server) sweepLoop() {
-	defer s.bg.Done()
+	defer s.janitor.Done()
 	tick := time.NewTicker(s.cfg.SweepInterval)
 	defer tick.Stop()
 	for {
@@ -547,20 +458,16 @@ func (s *Server) sweepLoop() {
 // evictExpired drops every terminal job finished before the retention
 // cutoff — except jobs still occupying a queue slot (cancelled while
 // queued, not yet drained by a worker), which stay until dequeued so
-// the worker never retires a ghost the store no longer knows. Each
-// shard is swept under its own lock; the janitor never stalls the
-// whole service.
+// the worker never retires a ghost the store no longer knows.
 func (s *Server) evictExpired(now time.Time) {
 	cutoff := now.Add(-s.cfg.ResultTTL)
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for id, j := range sh.jobs {
-			if j.evictable(cutoff) {
-				delete(sh.jobs, id)
-				sh.retained.Add(-1)
-				s.evicted.Add(1)
-			}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for id, j := range s.jobs {
+		if j.evictable(cutoff) {
+			delete(s.jobs, id)
+			s.gauges.retained.Add(-1)
+			s.evicted.Add(1)
 		}
-		sh.mu.Unlock()
 	}
 }

@@ -145,37 +145,23 @@ func TestEndToEndHTTP(t *testing.T) {
 		}
 	}
 
-	// Stats reflect the finished job. The per-solver counters are
-	// epoch-merged, so they may trail the job's terminal state by a
-	// merge; poll briefly rather than assuming instant visibility.
+	// Stats reflect the finished job as soon as a poll has seen it
+	// terminal: one read, no retry.
 	var stats struct {
-		Epoch   uint64 `json:"epoch"`
-		Shards  []any  `json:"shards"`
 		Solvers []struct {
 			Solver string `json:"solver"`
 			Done   int64  `json:"done"`
 		} `json:"solvers"`
 	}
+	doJSON(t, http.MethodGet, ts.URL+"/v1/stats", "", &stats)
 	found := false
-	for deadline := time.Now().Add(5 * time.Second); !found && time.Now().Before(deadline); {
-		doJSON(t, http.MethodGet, ts.URL+"/v1/stats", "", &stats)
-		for _, s := range stats.Solvers {
-			if s.Solver == "minmin" && s.Done == 1 {
-				found = true
-			}
-		}
-		if !found {
-			time.Sleep(5 * time.Millisecond)
+	for _, s := range stats.Solvers {
+		if s.Solver == "minmin" && s.Done == 1 {
+			found = true
 		}
 	}
 	if !found {
 		t.Errorf("stats missing minmin done=1: %+v", stats.Solvers)
-	}
-	if found && stats.Epoch == 0 {
-		t.Errorf("stats carry merged counters but epoch 0")
-	}
-	if len(stats.Shards) == 0 {
-		t.Errorf("stats missing per-shard breakdown")
 	}
 
 	// Health is OK while serving.
@@ -220,9 +206,13 @@ func TestConcurrentJobs(t *testing.T) {
 		}
 	}
 
+	// One generation serves every job. A submit that arrives while the
+	// generation is still in flight joins it instead of hitting a cached
+	// entry, and how many do is up to the scheduler, so hits and joins
+	// are counted together.
 	st := svc.Stats()
-	if st.CacheMisses != 1 || st.CacheHits != n-1 {
-		t.Errorf("cache hits/misses = %d/%d, want %d/1", st.CacheHits, st.CacheMisses, n-1)
+	if st.CacheMisses != 1 || st.CacheHits+st.CacheJoins != n-1 {
+		t.Errorf("cache hits+joins/misses = %d+%d/%d, want %d/1", st.CacheHits, st.CacheJoins, st.CacheMisses, n-1)
 	}
 }
 

@@ -2,7 +2,11 @@ package service
 
 import (
 	"math"
+	"strings"
+	"sync/atomic"
 	"time"
+
+	"gridsched/internal/solver"
 )
 
 // SolverStats aggregates the finished jobs of one solver name.
@@ -23,27 +27,10 @@ type SolverStats struct {
 	EvalsPerSecond float64
 }
 
-// ShardStats is one shard's slice of the service: live occupancy
-// gauges plus the epoch snapshot's cumulative retirement counters.
-// Submitted counts jobs placed on this shard at intake; Finished
-// counts jobs retired by this shard's workers (a stolen job counts on
-// the thief, which is what makes imbalance visible); Stolen is the
-// subset of Finished taken from another shard's queue.
-type ShardStats struct {
-	Shard          int
-	Submitted      int64
-	Finished       int64
-	Stolen         int64
-	Queued         int
-	Running        int
-	Retained       int
-	QueueDepthPeak int
-}
-
-// Stats is a point-in-time snapshot of the service: live atomic gauges
-// plus the latest epoch-merged counters (Epoch identifies the merge
-// they came from; per-solver counters trail live work by at most one
-// epoch).
+// Stats is a point-in-time snapshot of the service: live gauges plus
+// the per-solver retirement counters. A job is counted in Solvers in
+// the same step that makes it terminal, so a read taken after a caller
+// saw a job finish always includes it.
 type Stats struct {
 	Uptime        time.Duration
 	Workers       int
@@ -52,10 +39,6 @@ type Stats struct {
 	Running       int
 	Retained      int
 	Evicted       int64
-
-	// Epoch is the stats coordinator's merge counter — the epoch the
-	// Solvers and per-shard Finished/Stolen counters were merged at.
-	Epoch uint64
 
 	CacheHits int64
 	// CacheJoins counts requests served by riding another request's
@@ -73,23 +56,102 @@ type Stats struct {
 	StoreInstances int
 
 	Solvers []SolverStats
-	Shards  []ShardStats
 }
 
-// deriveSolverStats turns one solver's raw counters into the public
-// stats shape, computing the derived latency and throughput figures.
-func deriveSolverStats(name string, c *solverCounters) SolverStats {
-	s := SolverStats{
-		Solver:      name,
-		Done:        c.done,
-		Failed:      c.failed,
-		Cancelled:   c.cancelled,
-		Evaluations: c.evaluations,
-		BusyTime:    c.busy,
-		MaxLatency:  c.maxLatency,
+// gauges are the live occupancy counts. The job state machine moves
+// queued and running on its transitions, the store moves retained on
+// insert and eviction, so a job cancelled while queued leaves queued at
+// once even though it still sits in the run queue.
+type gauges struct {
+	queued, running, retained atomic.Int64
+}
+
+// solverCounters are one solver's retirement counters. Every field is
+// an atomic, so Stats and /metrics read them without a lock.
+type solverCounters struct {
+	name                    string
+	done, failed, cancelled atomic.Int64
+	evaluations             atomic.Int64
+	ran                     atomic.Int64 // retirements that have a solve latency
+	busy, maxLatency        atomic.Int64 // nanoseconds
+}
+
+// solverTable holds one counter set per registered solver name. It is
+// built once in New and never changes, so lookups need no lock.
+type solverTable struct {
+	list   []*solverCounters // sorted by name
+	byName map[string]*solverCounters
+}
+
+func newSolverTable() solverTable {
+	names := solver.Names()
+	t := solverTable{
+		list:   make([]*solverCounters, len(names)),
+		byName: make(map[string]*solverCounters, len(names)),
 	}
-	s.MeanLatency = meanLatency(c.busy, c.ran)
-	s.EvalsPerSecond = safeRate(float64(c.evaluations), c.busy.Seconds())
+	for i, name := range names {
+		t.list[i] = &solverCounters{name: name}
+		t.byName[name] = t.list[i]
+	}
+	return t
+}
+
+// lookup returns the counters a job submitted under name retires into:
+// the registered name itself, or, for a composed scheme name such as
+// "portfolio:tabu+h2ll", the scheme's own registration. The table —
+// and with it the /v1/stats rows and the solver metric labels — stays
+// bounded by the registry however many compositions clients send.
+func (t solverTable) lookup(name string) (*solverCounters, bool) {
+	if c, ok := t.byName[name]; ok {
+		return c, true
+	}
+	if i := strings.IndexByte(name, ':'); i > 0 {
+		c, ok := t.byName[name[:i]]
+		return c, ok
+	}
+	return nil, false
+}
+
+// fold counts one retired job.
+func (c *solverCounters) fold(st JobState, started, finished time.Time, evals int64) {
+	switch st {
+	case StateDone:
+		c.done.Add(1)
+	case StateFailed:
+		c.failed.Add(1)
+	case StateCancelled:
+		c.cancelled.Add(1)
+	}
+	c.evaluations.Add(evals)
+	if started.IsZero() || finished.IsZero() {
+		return
+	}
+	latency := int64(finished.Sub(started))
+	c.busy.Add(latency)
+	c.ran.Add(1)
+	for {
+		m := c.maxLatency.Load()
+		if latency <= m || c.maxLatency.CompareAndSwap(m, latency) {
+			return
+		}
+	}
+}
+
+// snapshot derives the public stats shape, computing the latency and
+// throughput figures at read time.
+func (c *solverCounters) snapshot() SolverStats {
+	busy := time.Duration(c.busy.Load())
+	s := SolverStats{
+		Solver:      c.name,
+		Done:        c.done.Load(),
+		Failed:      c.failed.Load(),
+		Cancelled:   c.cancelled.Load(),
+		Evaluations: c.evaluations.Load(),
+		BusyTime:    busy,
+		MaxLatency:  time.Duration(c.maxLatency.Load()),
+	}
+	s.MeanLatency = meanLatency(busy, c.ran.Load())
+	s.EvalsPerSecond = safeRate(float64(s.Evaluations), busy.Seconds())
 	return s
 }
 

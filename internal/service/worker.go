@@ -2,77 +2,37 @@ package service
 
 import (
 	"fmt"
-	"runtime"
 	"runtime/debug"
 
 	"gridsched/internal/solver"
 )
 
-// runWorker is one solve worker, pinned to home shard `home`. It
-// drains its own shard's queue first and steals from loaded neighbors
-// when home is empty, sleeping on the shard's wake channel (plus the
-// server-wide overflow channel) when the whole service is idle.
-func (s *Server) runWorker(home int) {
+// worker pulls jobs off the run queue until BeginDrain closes it and
+// it is empty.
+func (s *Server) worker() {
 	defer s.workers.Done()
-	sh := s.shards[home]
-	for {
-		if j, from := s.dequeue(home); j != nil {
-			s.execute(j, sh, from != home)
-			continue
-		}
-		if s.closed.Load() {
-			if s.queueLen.Load() == 0 {
-				return
-			}
-			// Slots are still occupied but mid-pop by another worker;
-			// yield and re-scan rather than sleeping on channels no
-			// submit will ever signal again.
-			runtime.Gosched()
-			continue
-		}
-		select {
-		case <-sh.wake:
-		case <-s.wakeAll:
-		case <-s.drainCh:
-		}
+	for j := range s.queue {
+		s.execute(j)
 	}
 }
 
-// dequeue pops the oldest job from the home shard, then scans the
-// other shards in ring order (work stealing). It returns the job and
-// the shard it came from, or nil when every queue is empty.
-func (s *Server) dequeue(home int) (*job, int) {
-	n := len(s.shards)
-	for off := 0; off < n; off++ {
-		idx := home + off
-		if idx >= n {
-			idx -= n
-		}
-		if j := s.shards[idx].pop(); j != nil {
-			s.queueLen.Add(-1)
-			return j, idx
-		}
-	}
-	return nil, -1
-}
-
-// execute runs one dequeued job to retirement. `by` is the executing
-// worker's home shard — retirement counters land there (not on the
-// job's owning shard) so a worker only ever writes its own shard's
-// delta; stolen marks a job taken from another shard's queue.
+// execute runs one dequeued job to retirement.
 //
 // A job cancelled while queued is retired without running — including
 // one whose context a forced shutdown (or a client Cancel racing the
 // dequeue) already cancelled: running it anyway would make drain
 // latency depend on every solver noticing the dead context, and
 // zero-budget heuristics never would. Either way the job reaches a
-// terminal state, its retirement is folded into the stats delta and
-// metrics BEFORE its waiters are released, so a Wait-then-read of any
-// counter observes the finished job.
-func (s *Server) execute(j *job, by *shard, stolen bool) {
+// terminal state (which counts it in its solver's stats), and its
+// event metrics are recorded BEFORE its waiters are released, so a
+// Wait-then-read of any counter observes the finished job.
+func (s *Server) execute(j *job) {
 	j.markDequeued()
 	j.timeline.Mark("dispatched")
-	if j.ctx.Err() != nil {
+	// Test the server's context, not the job's: a forced shutdown
+	// cancels the job contexts one by one, and a job dequeued while that
+	// is under way must not start against a context about to die.
+	if s.baseCtx.Err() != nil {
 		j.requestCancel()
 	}
 	panicked := false
@@ -80,34 +40,28 @@ func (s *Server) execute(j *job, by *shard, stolen bool) {
 		s.met.busy.Add(1)
 		s.log.Info("job started",
 			"job_id", j.id, "solver", j.spec.Solver, "instance", j.inst.Name,
-			"request_id", j.spec.RequestID, "shard", j.home.idx, "worker_shard", by.idx)
+			"request_id", j.spec.RequestID)
 		var res *solver.Result
 		var err error
 		res, err, panicked = s.solve(j)
 		j.finish(res, err)
 		s.met.busy.Add(-1)
 	}
-	// Fold the retired job (ran or cancelled-while-queued) into the
-	// executing shard's delta and the event metrics.
 	snap := j.snapshot()
-	by.retire(j.spec.Solver, snap, stolen)
 	s.met.finished.With(finishLabel(snap.State, panicked)).Inc()
 	attrs := []any{
 		"job_id", j.id, "solver", j.spec.Solver, "instance", j.inst.Name,
 		"request_id", j.spec.RequestID, "state", string(snap.State),
 	}
-	if stolen {
-		attrs = append(attrs, "stolen_by_shard", by.idx)
-	}
 	if !snap.StartedAt.IsZero() && !snap.FinishedAt.IsZero() {
 		latency := snap.FinishedAt.Sub(snap.StartedAt)
-		//lint:ignore metrichygiene solver names are bounded by the compiled-in registry; Submit rejects unknown solvers
-		s.met.latency.With(j.spec.Solver).Observe(latency.Seconds())
+		//lint:ignore metrichygiene the solver table is the registry as of New; scheme compositions fold into their prefix
+		s.met.latency.With(j.ctr.name).Observe(latency.Seconds())
 		attrs = append(attrs, "duration", latency)
 	}
 	if snap.Result != nil {
-		//lint:ignore metrichygiene solver names are bounded by the compiled-in registry; Submit rejects unknown solvers
-		s.met.evals.With(j.spec.Solver).Add(snap.Result.Evaluations)
+		//lint:ignore metrichygiene the solver table is the registry as of New; scheme compositions fold into their prefix
+		s.met.evals.With(j.ctr.name).Add(snap.Result.Evaluations)
 		attrs = append(attrs, "makespan", snap.Result.Makespan,
 			"evaluations", snap.Result.Evaluations)
 	}
@@ -116,7 +70,6 @@ func (s *Server) execute(j *job, by *shard, stolen bool) {
 	}
 	s.log.Info("job finished", attrs...)
 	j.signalDone()
-	s.pokeCoordinator()
 }
 
 // solve runs the job's solver, containing panics. A solver that
