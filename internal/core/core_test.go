@@ -651,3 +651,35 @@ func TestSyncPartialGenerationRecorded(t *testing.T) {
 		})
 	}
 }
+
+// TestRunChargesInitToWallBudget pins that population init — the random
+// draws and the Min-min seed — runs on the budget clock: on a large
+// consistent instance init alone outlasts a 50 ms budget, so the run
+// stops before its first sweep with only the initial evaluations.
+func TestRunChargesInitToWallBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates an 8192x256 instance")
+	}
+	in, err := etc.GenerateByName("u_c_hihi.0@8192x256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := DefaultParams()
+	p.Threads = 1
+	p.MaxDuration = 50 * time.Millisecond
+	start := time.Now()
+	res, err := Run(in, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("run took %v (result duration %v)", time.Since(start), res.Duration)
+	if res.Generations != 0 {
+		t.Fatalf("generations %d after init overran the budget, want 0", res.Generations)
+	}
+	if want := int64(p.GridW * p.GridH); res.Evaluations != want {
+		t.Fatalf("evaluations %d, want the population size %d", res.Evaluations, want)
+	}
+	if res.Duration < p.MaxDuration {
+		t.Fatalf("result duration %v excludes init (budget %v)", res.Duration, p.MaxDuration)
+	}
+}

@@ -47,11 +47,12 @@ func RunContext(ctx context.Context, inst *etc.Instance, p Params) (*Result, err
 		return nil, err
 	}
 
+	// The budget clock starts before population init, so the Min-min
+	// seed and the random draws are charged to the wall budget.
+	eng := solver.NewEngine(ctx, p.budget())
 	root := rng.New(p.Seed)
 	initRNG := root.Split(0)
 	pop := newPopulation(inst, grid.Size(), initRNG, !p.DisableMinMinSeed, p.SeedSchedule, p.LockMode, p.fitness)
-
-	eng := solver.NewEngine(ctx, p.budget())
 	eng.AddEvals(int64(pop.size())) // initial_evaluation of Algorithm 2
 	if eng.Observing() {
 		// Seed the convergence trace with the initial population's best,

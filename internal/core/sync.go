@@ -35,6 +35,7 @@ func RunSyncContext(ctx context.Context, inst *etc.Instance, p Params) (*Result,
 		return nil, err
 	}
 
+	eng := solver.NewEngine(ctx, p.budget()) // init is charged to the budget
 	root := rng.New(p.Seed)
 	initRNG := root.Split(0)
 	pop := newPopulation(inst, grid.Size(), initRNG, !p.DisableMinMinSeed, p.SeedSchedule, NoLock, p.fitness)
@@ -55,7 +56,6 @@ func RunSyncContext(ctx context.Context, inst *etc.Instance, p Params) (*Result,
 	neigh := make([]int, 0, p.Neighborhood.Size())
 	cands := make([]operators.Candidate, 0, p.Neighborhood.Size())
 
-	eng := solver.NewEngine(ctx, p.budget())
 	eng.AddEvals(int64(pop.size()))
 	if eng.Observing() {
 		_, f := pop.best()

@@ -285,24 +285,6 @@ func (in *Instance) TaskCosts(t int) []float64 { return in.Row[t*in.M : (t+1)*in
 // not be modified.
 func (in *Instance) MachineCosts(m int) []float64 { return in.Col[m*in.T : (m+1)*in.T] }
 
-// TaskBlock is the tile width, in tasks, of the blocked machine-major
-// view: 1024 tasks keep one machine's cost block (8 KB) plus the same
-// block of an assignment vector (8 KB) resident in L1 together with the
-// per-machine completion-time lanes, so a blocked sweep re-reads the
-// assignment block from cache across all M machine passes.
-const TaskBlock = 1024
-
-// MachineCostsBlock returns machine m's costs for tasks [lo, hi) — the
-// blocked machine-major view for large T. Sweeping machines over one
-// task block at a time (instead of each machine's full T-length column)
-// keeps the block-shared state cache-resident across the M inner
-// sweeps; see schedule's bulk-load and batch-evaluation kernels for the
-// canonical loop shape. The slice aliases the instance storage and must
-// not be modified.
-func (in *Instance) MachineCostsBlock(m, lo, hi int) []float64 {
-	return in.Col[m*in.T+lo : m*in.T+hi]
-}
-
 // MachineRow is MachineCosts under its historical name.
 //
 // Deprecated: use MachineCosts.

@@ -4,11 +4,19 @@
 // with Min-min (Table 1) and positions such list heuristics as the fast
 // alternative for near-homogeneous instances (§4.2); the rest are
 // provided as baselines for the examples and the benchmark harness.
+//
+// Costs for a T-task, M-machine instance: Min-min is O(T·M) after one
+// radix sort of each machine's cost column (O(T·M) as well); Max-min
+// and Sufferage are O(T²) cached scans plus their rescans; MCT, MET,
+// OLB are O(T·M); LJFR-SJFR is O(T² + T·M).
 package heuristics
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"gridsched/internal/etc"
 	"gridsched/internal/rng"
@@ -64,26 +72,187 @@ func bestCompletion(s *schedule.Schedule, t int) (mac int, ct float64) {
 // for every unassigned task, its minimum completion time over all
 // machines; commit the task whose minimum is smallest. Intuition: placing
 // the "easiest" tasks first keeps machine loads low for longer.
+//
+// The pair minimizing CT[m] + ETC[t][m] over unassigned tasks t and all
+// machines m is, for each machine, the machine's cheapest unassigned
+// task — completion times are constant within a step and float addition
+// is monotone. So every machine-major column is sorted by cost once,
+// and a cursor per machine skips tasks already committed: each step
+// costs O(M) plus the cursor advances, O(T·M) in total on top of the
+// sort, where the textbook selection rescans every remaining task.
+//
+// Ties reproduce the textbook scan exactly: the chosen task is the
+// lowest-positioned tied one in the swap-remove list of unassigned
+// tasks that scan walks, and its machine the lowest-index minimizer
+// (bestCompletion). A tied sum is found in a contiguous run from each
+// column's cursor, since equal sums need costs adjacent in sort order.
 func MinMin(inst *etc.Instance) *schedule.Schedule {
-	return minMaxMin(inst, true)
+	s := schedule.New(inst)
+	nt, nm := inst.T, inst.M
+	if nt == 0 || nm == 0 {
+		return s
+	}
+	sc := minMinPool.Get().(*minMinScratch)
+	defer minMinPool.Put(sc)
+	sc.reset(nt, nm)
+	for m := 0; m < nm; m++ {
+		sc.sortColumn(inst.MachineCosts(m), sc.sorted[m*nt:(m+1)*nt])
+	}
+	order, pos, cur, head := sc.order, sc.pos, sc.cur, sc.head
+	for left := nt; left > 0; left-- {
+		best := math.Inf(1)
+		for m := range cur {
+			col, mc := sc.sorted[m*nt:(m+1)*nt], inst.MachineCosts(m)
+			c := cur[m]
+			for s.S[col[c]] != schedule.Unassigned {
+				c++
+			}
+			cur[m] = c
+			h := s.CT[m] + mc[col[c]]
+			head[m] = h
+			if h < best {
+				best = h
+			}
+		}
+		chosen := int32(-1)
+		for m, h := range head {
+			if h != best {
+				continue
+			}
+			col, mc, ct := sc.sorted[m*nt:(m+1)*nt], inst.MachineCosts(m), s.CT[m]
+			for _, t := range col[cur[m]:] {
+				if s.S[t] != schedule.Unassigned {
+					continue
+				}
+				if ct+mc[t] != best {
+					break
+				}
+				if chosen < 0 || pos[t] < pos[chosen] {
+					chosen = t
+				}
+			}
+		}
+		mac, _ := bestCompletion(s, int(chosen))
+		s.Assign(int(chosen), mac)
+		i, last := pos[chosen], order[left-1]
+		order[i], pos[last] = last, i
+	}
+	return s
+}
+
+// minMinScratch is MinMin's per-call working memory, pooled so that a
+// warm call allocates nothing beyond the schedule it returns.
+type minMinScratch struct {
+	// sorted holds, at [m*T, (m+1)*T), machine m's tasks by ascending
+	// cost.
+	sorted []int32
+	// keys, keys2 and idx2 are the radix sort's ping-pong buffers.
+	keys, keys2 []uint32
+	idx2        []int32
+	// order lists the unassigned tasks in the textbook scan's
+	// swap-remove order (its first len-left entries are live); pos[t]
+	// is t's index there.
+	order, pos []int32
+	// cur[m] indexes machine m's cheapest possibly-unassigned task in
+	// sorted; head[m] is its completion time on m this step.
+	cur  []int32
+	head []float64
+}
+
+var minMinPool = sync.Pool{New: func() any { return new(minMinScratch) }}
+
+// resize returns b with length n, reallocating only when its capacity
+// is too small (contents unspecified).
+func resize[E any](b []E, n int) []E {
+	if cap(b) < n {
+		return make([]E, n)
+	}
+	return b[:n]
+}
+
+// reset sizes the scratch for a T×M instance and initializes the
+// unassigned list, the positions and the cursors.
+func (sc *minMinScratch) reset(nt, nm int) {
+	sc.sorted = resize(sc.sorted, nt*nm)
+	sc.keys = resize(sc.keys, nt)
+	sc.keys2 = resize(sc.keys2, nt)
+	sc.idx2 = resize(sc.idx2, nt)
+	sc.order = resize(sc.order, nt)
+	sc.pos = resize(sc.pos, nt)
+	sc.cur = resize(sc.cur, nm)
+	sc.head = resize(sc.head, nm)
+	for i := range sc.order {
+		sc.order[i], sc.pos[i] = int32(i), int32(i)
+	}
+	clear(sc.cur)
+}
+
+// sortColumn writes into dst the task indices of col ordered by
+// ascending cost (equal costs in unspecified order). Costs are
+// positive, and positive float64s order like their bit patterns, so an
+// LSD radix sort over the high 32 bits of Float64bits (sign, exponent
+// and 20 mantissa bits), one byte per pass, orders the column up to
+// runs that share those bits; a final sweep sorts each such run — short
+// and rare on real matrices — by full cost. A pass whose byte is the
+// same in every key is a no-op and is skipped.
+func (sc *minMinScratch) sortColumn(col []float64, dst []int32) {
+	n := len(col)
+	var hist [4][256]int32
+	keys, idx := sc.keys[:n], dst
+	for t, c := range col {
+		k := uint32(math.Float64bits(c) >> 32)
+		keys[t], idx[t] = k, int32(t)
+		hist[0][byte(k)]++
+		hist[1][byte(k>>8)]++
+		hist[2][byte(k>>16)]++
+		hist[3][byte(k>>24)]++
+	}
+	keys2, idx2 := sc.keys2[:n], sc.idx2[:n]
+	for b := range hist {
+		shift := 8 * uint(b)
+		h := &hist[b]
+		if h[byte(keys[0]>>shift)] == int32(n) {
+			continue
+		}
+		var sum int32
+		for d, c := range h {
+			h[d], sum = sum, sum+c
+		}
+		for i, k := range keys {
+			d := byte(k >> shift)
+			p := h[d]
+			h[d]++
+			keys2[p], idx2[p] = k, idx[i]
+		}
+		keys, keys2 = keys2, keys
+		idx, idx2 = idx2, idx
+	}
+	if &idx[0] != &dst[0] {
+		copy(dst, idx)
+	}
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && keys[hi] == keys[lo] {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(dst[lo:hi], func(a, b int32) int { return cmp.Compare(col[a], col[b]) })
+		}
+		lo = hi
+	}
 }
 
 // MaxMin is the dual of Min-min: commit the task whose best completion
 // time is largest, so long tasks are placed early and short tasks fill
 // the gaps.
+//
+// Each task's best (machine, completion) pair is cached. Committing a
+// task changes exactly one machine's CT — and only upward, since ETC
+// entries are positive — so a cached pair stays exact unless its
+// machine is the one that just grew; only those tasks rescan the
+// machine vector. Selection is O(T²) scans plus an expected O(T·M) of
+// rescans, with assignments bit-identical to the uncached scan.
 func MaxMin(inst *etc.Instance) *schedule.Schedule {
-	return minMaxMin(inst, false)
-}
-
-// minMaxMin runs Min-min / Max-min with cached per-task best
-// completions. Committing a task changes exactly one machine's CT — and
-// only upward, since ETC entries are positive — so a task's cached
-// (machine, completion) pair stays exact unless its cached machine is
-// the one that just grew; only those tasks rescan the machine vector.
-// This drops the classic O(T²·M) triple loop to O(T²) scans plus an
-// expected O(T·M) of rescans, while choosing bit-identical assignments
-// (the cache returns exactly what a rescan would).
-func minMaxMin(inst *etc.Instance, min bool) *schedule.Schedule {
 	s := schedule.New(inst)
 	unassigned := make([]int, inst.T)
 	for i := range unassigned {
@@ -96,15 +265,12 @@ func minMaxMin(inst *etc.Instance, min bool) *schedule.Schedule {
 	}
 	for len(unassigned) > 0 {
 		chosenIdx, chosenMac := -1, -1
-		chosenCT := math.Inf(1)
-		if !min {
-			chosenCT = math.Inf(-1)
-		}
+		chosenCT := math.Inf(-1)
 		for idx, t := range unassigned {
 			if bestMac[t] < 0 {
 				bestMac[t], bestCT[t] = bestCompletion(s, t)
 			}
-			if (min && bestCT[t] < chosenCT) || (!min && bestCT[t] > chosenCT) {
+			if bestCT[t] > chosenCT {
 				chosenIdx, chosenMac, chosenCT = idx, bestMac[t], bestCT[t]
 			}
 		}
@@ -168,7 +334,7 @@ func OLB(inst *etc.Instance) *schedule.Schedule {
 
 // Sufferage commits, at each step, the unassigned task that would
 // "suffer" most if denied its best machine: the one with the largest gap
-// between its best and second-best completion times. Like minMaxMin it
+// between its best and second-best completion times. Like MaxMin it
 // caches each task's (best, second-best) pair and rescans a task only
 // when the machine that just grew is the task's cached best or
 // second-best — any other machine's increase cannot change either value

@@ -1,6 +1,8 @@
 package heuristics
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"gridsched/internal/etc"
@@ -223,6 +225,149 @@ func TestHeuristicRanking512x16(t *testing.T) {
 	}
 }
 
+// refMinMin is the textbook Min-min selection with cached per-task
+// best completions: the bit-identity oracle for MinMin. Each step scans
+// every unassigned task in its swap-remove list and keeps the first
+// strictly smallest best completion time; a task's cached (machine,
+// completion) pair is recomputed only after its machine grew.
+func refMinMin(inst *etc.Instance) *schedule.Schedule {
+	s := schedule.New(inst)
+	unassigned := make([]int, inst.T)
+	for i := range unassigned {
+		unassigned[i] = i
+	}
+	bestMac := make([]int, inst.T)
+	bestCT := make([]float64, inst.T)
+	for i := range bestMac {
+		bestMac[i] = -1
+	}
+	for len(unassigned) > 0 {
+		chosenIdx, chosenMac := -1, -1
+		chosenCT := math.Inf(1)
+		for idx, t := range unassigned {
+			if bestMac[t] < 0 {
+				bestMac[t], bestCT[t] = bestCompletion(s, t)
+			}
+			if bestCT[t] < chosenCT {
+				chosenIdx, chosenMac, chosenCT = idx, bestMac[t], bestCT[t]
+			}
+		}
+		t := unassigned[chosenIdx]
+		s.Assign(t, chosenMac)
+		unassigned[chosenIdx] = unassigned[len(unassigned)-1]
+		unassigned = unassigned[:len(unassigned)-1]
+		for _, u := range unassigned {
+			if bestMac[u] == chosenMac {
+				bestMac[u] = -1
+			}
+		}
+	}
+	return s
+}
+
+// checkMinMinMatchesRef fails unless MinMin and refMinMin produce the
+// same assignment and bit-equal makespans on in.
+func checkMinMinMatchesRef(t testing.TB, in *etc.Instance) {
+	t.Helper()
+	got, want := MinMin(in), refMinMin(in)
+	if d := got.HammingDistance(want); d != 0 {
+		t.Fatalf("%s: MinMin differs from the reference on %d of %d tasks", in.Name, d, in.T)
+	}
+	if g, w := math.Float64bits(got.Makespan()), math.Float64bits(want.Makespan()); g != w {
+		t.Fatalf("%s: makespan bits %#x, reference %#x", in.Name, g, w)
+	}
+}
+
+// smallIntInstance builds a T×M instance with integer costs 1..4 (and,
+// when withReady, integer ready times 0..2) from bytes: few distinct
+// costs make equal completion times common, which exercises every
+// tie-break.
+func smallIntInstance(t testing.TB, tasks, machines int, data []byte, withReady bool) *etc.Instance {
+	t.Helper()
+	at := func(i int) int {
+		if len(data) == 0 {
+			return i
+		}
+		return int(data[i%len(data)])
+	}
+	row := make([]float64, tasks*machines)
+	for i := range row {
+		row[i] = float64(1 + at(i)%4)
+	}
+	in, err := etc.New(fmt.Sprintf("ints%dx%d", tasks, machines), tasks, machines, row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if withReady {
+		ready := make([]float64, machines)
+		for m := range ready {
+			ready[m] = float64(at(len(row)+m) % 3)
+		}
+		if in, err = in.WithReady(ready); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return in
+}
+
+func TestMinMinMatchesReference(t *testing.T) {
+	for _, dims := range [][2]int{{64, 8}, {512, 16}, {2048, 32}} {
+		for _, cl := range etc.AllClasses() {
+			in, err := etc.Generate(etc.GenSpec{Class: cl, Tasks: dims[0], Machines: dims[1], Seed: etc.ClassSeed(cl)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkMinMinMatchesRef(t, in)
+		}
+	}
+	base := testInstance(t, etc.SemiConsistent, 256, 16, 21)
+	ready := make([]float64, base.M)
+	for m := range ready {
+		ready[m] = float64(m%4) * 250
+	}
+	withReady, err := base.WithReady(ready)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkMinMinMatchesRef(t, withReady)
+
+	r := rng.New(99)
+	for i := 0; i < 200; i++ {
+		tasks, machines := 1+r.Intn(48), 1+r.Intn(8)
+		data := make([]byte, tasks*machines+machines)
+		for j := range data {
+			data[j] = byte(r.Intn(256))
+		}
+		checkMinMinMatchesRef(t, smallIntInstance(t, tasks, machines, data, i%2 == 1))
+	}
+
+	// Near ties: costs that differ only below the 32 high bits MinMin's
+	// radix passes sort on, so the column order rests on the final
+	// full-cost sweep.
+	for i := 0; i < 50; i++ {
+		tasks, machines := 1+r.Intn(48), 1+r.Intn(8)
+		row := make([]float64, tasks*machines)
+		for j := range row {
+			row[j] = float64(1+r.Intn(2)) + float64(r.Intn(8))*0x1p-40
+		}
+		in, err := etc.New(fmt.Sprintf("near%d", i), tasks, machines, row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkMinMinMatchesRef(t, in)
+	}
+}
+
+func FuzzMinMinMatchesReference(f *testing.F) {
+	f.Add(uint8(4), uint8(3), []byte{0, 1, 2, 3, 0, 0, 1, 1, 2, 2, 3, 3}, false)
+	f.Add(uint8(17), uint8(5), []byte{7, 7, 7, 1}, true)
+	f.Add(uint8(1), uint8(1), []byte{}, false)
+	f.Add(uint8(40), uint8(8), []byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}, true)
+	f.Fuzz(func(t *testing.T, tasks, machines uint8, data []byte, withReady bool) {
+		checkMinMinMatchesRef(t, smallIntInstance(t, 1+int(tasks)%64, 1+int(machines)%8, data, withReady))
+	})
+}
+
 var benchSink *schedule.Schedule
 
 func BenchmarkMinMin512x16(b *testing.B) {
@@ -238,5 +383,27 @@ func BenchmarkSufferage512x16(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		benchSink = Sufferage(in)
+	}
+}
+
+// BenchmarkHeuristics times the three selection heuristics on every
+// consistency class at the paper's size and at the 2048×32 service
+// size, e.g. BenchmarkHeuristics/minmin/c/2048x32.
+func BenchmarkHeuristics(b *testing.B) {
+	for _, h := range []struct {
+		name string
+		fn   Heuristic
+	}{{"minmin", MinMin}, {"maxmin", MaxMin}, {"sufferage", Sufferage}} {
+		for _, cons := range []etc.Consistency{etc.Consistent, etc.SemiConsistent, etc.Inconsistent} {
+			for _, dims := range [][2]int{{512, 16}, {2048, 32}} {
+				b.Run(fmt.Sprintf("%s/%s/%dx%d", h.name, cons, dims[0], dims[1]), func(b *testing.B) {
+					in := testInstance(b, cons, dims[0], dims[1], 1)
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						benchSink = h.fn(in)
+					}
+				})
+			}
+		}
 	}
 }

@@ -1,10 +1,9 @@
 // Package hotpath flags per-element etc.Instance.ETC / ETCRow calls in
-// the repo's hot packages. PR 6 made the machine-major layout and its
-// slice accessors (TaskCosts, MachineCosts, ColBlock,
-// MachineCostsBlock) the sanctioned way to read costs on hot paths: a
-// per-element call inside a loop re-derives the element address and
-// defeats bounds-check elimination and vectorization-friendly code the
-// batched kernels rely on. The pass flags such calls inside loop
+// the repo's hot packages. The slice accessors TaskCosts (a task's row)
+// and MachineCosts (a machine's column) are the sanctioned way to read
+// costs on hot paths: a per-element call inside a loop re-derives the
+// element address and defeats bounds-check elimination and the
+// vectorization-friendly code the batched kernels rely on. The pass flags such calls inside loop
 // bodies, and inside function literals (hot-package closures are event
 // and per-candidate callbacks — a call there runs per iteration even
 // though no loop encloses it lexically).
@@ -20,7 +19,7 @@ import (
 // Analyzer is the hotpath pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "hotpath",
-	Doc:  "flags per-element Instance.ETC calls in hot-package loops; use the PR-6 slice accessors (TaskCosts/MachineCosts/ColBlock)",
+	Doc:  "flags per-element Instance.ETC calls in hot-package loops; use the slice accessors (TaskCosts/MachineCosts)",
 	Run:  run,
 }
 
@@ -79,9 +78,9 @@ func checkNode(pass *analysis.Pass, n ast.Node, inLoop, inFuncLit bool) {
 			}
 			switch {
 			case inLoop:
-				pass.Reportf(n.Pos(), "per-element %s call in a hot-package loop; read through the slice accessors (TaskCosts/MachineCosts/ColBlock) instead", method)
+				pass.Reportf(n.Pos(), "per-element %s call in a hot-package loop; read through the slice accessors (TaskCosts/MachineCosts) instead", method)
 			case inFuncLit:
-				pass.Reportf(n.Pos(), "per-element %s call in a hot-package function literal (closures here run per event); read through the slice accessors (TaskCosts/MachineCosts/ColBlock) instead", method)
+				pass.Reportf(n.Pos(), "per-element %s call in a hot-package function literal (closures here run per event); read through the slice accessors (TaskCosts/MachineCosts) instead", method)
 			}
 			return true
 		}

@@ -8,10 +8,9 @@ import (
 	"gridsched/internal/rng"
 )
 
-// batchTestInstance generates one instance per geometry, spanning both
-// bulk-load kernel regimes (blocked machine-major for M ≤
-// blockedKernelMaxM, task-ordered row sweep above) plus the M=1
-// degenerate case.
+// batchTestInstance generates one instance per geometry: the M=1
+// degenerate case, machine counts on and just past a power of two
+// (the tournament tree's padded leaves) and a multi-block task count.
 func batchTestInstance(t *testing.T, tasks, machines int, seed uint64) *etc.Instance {
 	t.Helper()
 	in, err := etc.Generate(etc.GenSpec{
@@ -27,12 +26,12 @@ func batchTestInstance(t *testing.T, tasks, machines int, seed uint64) *etc.Inst
 }
 
 var batchTestShapes = []struct{ tasks, machines int }{
-	{7, 1},    // degenerate single machine
-	{64, 4},   // blocked kernel, tiny
-	{257, 16}, // blocked kernel, paper-ish machine count, odd task count
-	{128, 32}, // blocked kernel at its upper bound
-	{128, 33}, // row kernel just past the bound
-	{300, 64}, // row kernel
+	{7, 1},     // degenerate single machine
+	{64, 4},    // tiny
+	{257, 16},  // paper machine count, odd task count
+	{128, 33},  // machine count just past a power of two
+	{300, 64},  // wide
+	{2050, 32}, // service-size matrix, task count off a round size
 }
 
 // randomAssignment fills a fresh assignment vector, leaving a sprinkle
@@ -84,7 +83,7 @@ func requireSameState(t *testing.T, want, got *Schedule, label string) {
 }
 
 // TestSetAssignmentsMatchesSequentialAssign is the bulk-load equivalence
-// property: loading a vector through SetAssignments (the hybrid blocked /
+// property: loading a vector through SetAssignments (the task-ordered
 // row kernel) must leave the schedule in the bit-identical state that
 // assigning every task incrementally in ascending order produces —
 // including the compensation tails, so the two schedules stay

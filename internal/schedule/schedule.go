@@ -149,44 +149,14 @@ func (s *Schedule) SetAssignments(assign []int) error {
 	return nil
 }
 
-// blockedKernelMaxM bounds the machine count up to which the bulk-load
-// kernels use the blocked machine-major sweep: its M passes per task
-// block read the whole T×M matrix, which beats the single task-ordered
-// row pass (sequential streaming vs one strided read per task) only
-// while the matrix rows are thin.
-const blockedKernelMaxM = 32
-
 // accumulateAssign folds the cost of every assigned task of a into the
 // compensated completion-time lanes (ct, lo), which the caller has
-// initialized (typically to the ready times and zero). Per machine the
-// tasks are accumulated in ascending order — the same order sequential
-// Assign calls in ascending t produce — so the resulting pairs are
-// bit-identical to the incremental path regardless of which sweep runs.
-//
-// Two sweeps implement that order: for small machine counts a blocked
-// machine-major kernel streams each MachineCostsBlock sequentially
-// while the assignment block stays cache-resident across the M machine
-// passes (the paper's transposed-layout win); for large M that sweep
-// would touch all T×M entries, so a single task-ordered pass over the
-// row layout reads only the T assigned entries instead.
+// initialized (typically to the ready times and zero). One task-ordered
+// pass over the row layout reads only the T assigned entries, and per
+// machine it accumulates the tasks in ascending order — the order
+// sequential Assign calls in ascending t produce — so the resulting
+// pairs are bit-identical to the incremental path.
 func accumulateAssign(inst *etc.Instance, a []int, ct, lo []float64) {
-	if inst.M <= blockedKernelMaxM {
-		for blo := 0; blo < inst.T; blo += etc.TaskBlock {
-			bhi := min(blo+etc.TaskBlock, inst.T)
-			blk := a[blo:bhi]
-			for m := 0; m < inst.M; m++ {
-				mc := inst.MachineCostsBlock(m, blo, bhi)
-				cth, ctl := ct[m], lo[m]
-				for i, mm := range blk {
-					if mm == m {
-						cth, ctl = accAdd(cth, ctl, mc[i])
-					}
-				}
-				ct[m], lo[m] = cth, ctl
-			}
-		}
-		return
-	}
 	row, m := inst.Row, inst.M
 	for t, mm := range a {
 		if mm != Unassigned {

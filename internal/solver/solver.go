@@ -124,7 +124,10 @@ type Result struct {
 	PerThread   []int64
 	// LocalSearchMoves counts improving moves made by the local search.
 	LocalSearchMoves int64
-	// Duration is the measured wall time of the evolution phase.
+	// Duration is the measured wall time of the run from the moment
+	// its stop engine started: for the population-based solvers that
+	// includes population init and the Min-min seed, which are charged
+	// to the wall budget like the search itself.
 	Duration time.Duration
 	// EffectiveBudget records the bounds the run actually enforced: the
 	// submitted budget with any context deadline absorbed by the stop
