@@ -3,9 +3,15 @@ package gridsched
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"sort"
 	"strings"
 	"testing"
 	"time"
+
+	"gridsched/internal/solver"
 )
 
 // solveTestInstance is a small instance every registered solver can
@@ -224,5 +230,116 @@ func TestFacadeSweep(t *testing.T) {
 	}
 	if lines := strings.Count(buf.String(), "\n"); lines != 5 {
 		t.Fatalf("CSV has %d lines, want 5", lines)
+	}
+}
+
+// fingerprint pins one run's output bit for bit: the best fitness's
+// IEEE bits and an FNV-64a hash of the task→machine assignment.
+type fingerprint struct {
+	FitnessBits uint64
+	AssignHash  uint64
+}
+
+func fingerprintOf(res *SolverResult) fingerprint {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, m := range res.Best.S {
+		binary.LittleEndian.PutUint64(buf[:], uint64(m))
+		h.Write(buf[:])
+	}
+	return fingerprint{FitnessBits: math.Float64bits(res.BestFitness), AssignHash: h.Sum64()}
+}
+
+// goldenFingerprints holds the outputs of every reproducible registered
+// solver (plus single-threaded RunContext) at seed 11 and a 3000
+// evaluation budget. A refactor that claims to be behaviour-preserving
+// must leave every entry unchanged; a deliberate behaviour change
+// updates the table and says why.
+var goldenFingerprints = map[string]fingerprint{
+	"RunContext-t1/u_c_hihi.0@128x8": {0x41541997450ce4dd, 0xa277d07b71efa5e4},
+	"RunContext-t1/24x4":             {0x41410a85443ba4ad, 0xd7da51f83f2353e5},
+	"cma-lth/u_c_hihi.0@128x8":       {0x4154472a3afd939d, 0x12fd9beadad002e5},
+	"cma-lth/24x4":                   {0x41410a85443ba4ad, 0xd7da51f83f2353e5},
+	"generational/u_c_hihi.0@128x8":  {0x4155bb6eeae4bded, 0x9545965386e6e3a2},
+	"generational/24x4":              {0x4142aca0aeaa3250, 0x8f021acb984f6dc6},
+	"h2ll/u_c_hihi.0@128x8":          {0x41543b4f7bca5917, 0x7350890f5b3abde1},
+	"h2ll/24x4":                      {0x41428b3aa12c566d, 0xfac2da135534066},
+	"ljfr-sjfr/u_c_hihi.0@128x8":     {0x415946d4b1bcfd7d, 0x58eccd7cefaf57c7},
+	"ljfr-sjfr/24x4":                 {0x41449d11569ef1b4, 0xda35de9a0e9879c4},
+	"maxmin/u_c_hihi.0@128x8":        {0x415dfe68abe3e26c, 0x27ac51f5a4a42944},
+	"maxmin/24x4":                    {0x414a7e95c18e9b28, 0x29d6c89bf2d67be5},
+	"mct/u_c_hihi.0@128x8":           {0x415c563d7d046157, 0x3a88c2835f2c9ba5},
+	"mct/24x4":                       {0x414582bb8e65df2e, 0x720e7ded9eaae8c5},
+	"met/u_c_hihi.0@128x8":           {0x417607818c31eae2, 0x51d88627df287325},
+	"met/24x4":                       {0x414dabc6dd79bb52, 0xc1edf17f2727de07},
+	"minmin/u_c_hihi.0@128x8":        {0x41560a38df704fee, 0xcae680664646ea46},
+	"minmin/24x4":                    {0x4143a54b43d0b589, 0xa1f579d2bac27a06},
+	"olb/u_c_hihi.0@128x8":           {0x4163c6b5c3ab298c, 0x393ebc4d0540cd86},
+	"olb/24x4":                       {0x41558fb9fa3b03f1, 0x956628adad16bd84},
+	"struggle/u_c_hihi.0@128x8":      {0x4154e9a9c9e53535, 0x243348fc3425b4c6},
+	"struggle/24x4":                  {0x414341feb2884ccb, 0x4c4255be38fde827},
+	"sufferage/u_c_hihi.0@128x8":     {0x415765edde0ef4a3, 0xaabe7d2e26e416e4},
+	"sufferage/24x4":                 {0x414241f001a021f0, 0x30771c3c89fbc8e7},
+	"sync-cga/u_c_hihi.0@128x8":      {0x41541f5f76579a4b, 0x27bbf78a0fb947a5},
+	"sync-cga/24x4":                  {0x41410a85443ba4ad, 0xd7da51f83f2353e5},
+	"tabu/u_c_hihi.0@128x8":          {0x41544be50025dfb4, 0x54c2ed9b96d35005},
+	"tabu/24x4":                      {0x414295a58a275d3d, 0x1a63042fd048a286},
+}
+
+// TestSolveFingerprints runs every registered solver that declares
+// itself reproducible, plus RunContext at Threads: 1, and compares the
+// output against goldenFingerprints.
+func TestSolveFingerprints(t *testing.T) {
+	small := solveTestInstance(t)
+	braun, err := GenerateInstance("u_c_hihi.0@128x8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed, evals = 11, 3000
+	got := map[string]fingerprint{}
+	for label, in := range map[string]*Instance{"24x4": small, "u_c_hihi.0@128x8": braun} {
+		for _, name := range SolverNames() {
+			s, err := LookupSolver(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !solver.IsReproducible(s) {
+				continue
+			}
+			res, err := Solve(name, in, SolveOptions{Budget: Budget{MaxEvaluations: evals}, Seed: seed})
+			if err != nil {
+				t.Fatalf("%s on %s: %v", name, label, err)
+			}
+			got[name+"/"+label] = fingerprintOf(res)
+		}
+		p := DefaultParams()
+		p.Threads = 1
+		p.Seed = seed
+		p.MaxEvaluations = evals
+		res, err := RunContext(context.Background(), in, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got["RunContext-t1/"+label] = fingerprintOf(res)
+	}
+	keys := make([]string, 0, len(got))
+	for k := range got {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		want, ok := goldenFingerprints[k]
+		if !ok {
+			t.Errorf("no golden fingerprint for %s: %#v", k, got[k])
+			continue
+		}
+		if got[k] != want {
+			t.Errorf("%s: fingerprint %#v, want %#v", k, got[k], want)
+		}
+	}
+	for k := range goldenFingerprints {
+		if _, ok := got[k]; !ok {
+			t.Errorf("golden fingerprint %s was not produced", k)
+		}
 	}
 }
