@@ -5,10 +5,12 @@
 package gridsched
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
 
+	"gridsched/internal/baselines"
 	"gridsched/internal/core"
 	"gridsched/internal/operators"
 	"gridsched/internal/rng"
@@ -36,7 +38,7 @@ func BenchmarkTable1DefaultConfig(b *testing.B) {
 		p := DefaultParams()
 		p.Seed = uint64(i)
 		p.MaxEvaluations = 2000
-		if _, err := Run(in, p); err != nil {
+		if _, err := RunContext(context.Background(), in, p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -61,7 +63,7 @@ func BenchmarkFig4SpeedupEvaluations(b *testing.B) {
 					p.Threads = threads
 					p.Seed = uint64(i)
 					p.MaxDuration = wall
-					res, err := Run(in, p)
+					res, err := RunContext(context.Background(), in, p)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -99,7 +101,7 @@ func BenchmarkFig5OperatorConfigs(b *testing.B) {
 				p.Local = operators.H2LL{Iterations: cfg.ls}
 				p.Seed = uint64(i)
 				p.MaxEvaluations = 4000
-				res, err := Run(in, p)
+				res, err := RunContext(context.Background(), in, p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -131,7 +133,8 @@ func BenchmarkTable2Comparison(b *testing.B) {
 	}
 	b.Run("struggle-ga", func(b *testing.B) {
 		report(b, func(seed uint64) (float64, error) {
-			res, err := RunStruggle(in, StruggleConfig{Seed: seed, SeedMinMin: true, MaxEvaluations: budget})
+			res, err := baselines.StruggleSolver{Config: baselines.StruggleConfig{Seed: seed, SeedMinMin: true}}.
+				Solve(context.Background(), in, Budget{MaxEvaluations: budget})
 			if err != nil {
 				return 0, err
 			}
@@ -140,7 +143,8 @@ func BenchmarkTable2Comparison(b *testing.B) {
 	})
 	b.Run("cma-lth", func(b *testing.B) {
 		report(b, func(seed uint64) (float64, error) {
-			res, err := RunCMALTH(in, CMALTHConfig{Seed: seed, SeedMinMin: true, MaxEvaluations: budget})
+			res, err := baselines.CMALTHSolver{Config: baselines.CMALTHConfig{Seed: seed, SeedMinMin: true}}.
+				Solve(context.Background(), in, Budget{MaxEvaluations: budget})
 			if err != nil {
 				return 0, err
 			}
@@ -152,7 +156,7 @@ func BenchmarkTable2Comparison(b *testing.B) {
 			p := DefaultParams()
 			p.Seed = seed
 			p.MaxEvaluations = budget / 9 // the paper's CPU-ratio column
-			res, err := Run(in, p)
+			res, err := RunContext(context.Background(), in, p)
 			if err != nil {
 				return 0, err
 			}
@@ -164,7 +168,7 @@ func BenchmarkTable2Comparison(b *testing.B) {
 			p := DefaultParams()
 			p.Seed = seed
 			p.MaxEvaluations = budget
-			res, err := Run(in, p)
+			res, err := RunContext(context.Background(), in, p)
 			if err != nil {
 				return 0, err
 			}
@@ -189,7 +193,7 @@ func BenchmarkFig6Convergence(b *testing.B) {
 				p.Seed = uint64(i)
 				p.MaxGenerations = 10
 				p.RecordConvergence = true
-				res, err := Run(in, p)
+				res, err := RunContext(context.Background(), in, p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -263,7 +267,7 @@ func BenchmarkLockingStrategy(b *testing.B) {
 				p.LockMode = mode
 				p.Seed = uint64(i)
 				p.MaxEvaluations = 4000
-				if _, err := Run(in, p); err != nil {
+				if _, err := RunContext(context.Background(), in, p); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -467,9 +471,9 @@ func BenchmarkAsyncVsSync(b *testing.B) {
 			var res *Result
 			var err error
 			if sync {
-				res, err = RunSync(in, p)
+				res, err = core.RunSyncContext(context.Background(), in, p)
 			} else {
-				res, err = Run(in, p)
+				res, err = RunContext(context.Background(), in, p)
 			}
 			if err != nil {
 				b.Fatal(err)
@@ -502,7 +506,7 @@ func BenchmarkScalabilityLargeInstance(b *testing.B) {
 				p.Threads = threads
 				p.Seed = uint64(i)
 				p.MaxDuration = 50 * time.Millisecond
-				res, err := Run(in, p)
+				res, err := RunContext(context.Background(), in, p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -523,7 +527,7 @@ func BenchmarkSimulatedExecution(b *testing.B) {
 	p := DefaultParams()
 	p.Seed = 1
 	p.MaxEvaluations = 4000
-	res, err := Run(in, p)
+	res, err := RunContext(context.Background(), in, p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -553,7 +557,7 @@ func BenchmarkPACGAAllInstances(b *testing.B) {
 				p := DefaultParams()
 				p.Seed = uint64(i)
 				p.MaxEvaluations = 2000
-				if _, err := Run(in, p); err != nil {
+				if _, err := RunContext(context.Background(), in, p); err != nil {
 					b.Fatal(err)
 				}
 			}

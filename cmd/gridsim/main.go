@@ -45,10 +45,10 @@ func main() {
 	var sched *gridsched.Schedule
 	switch *scheduler {
 	case "pacga":
-		p := gridsched.DefaultParams()
-		p.MaxDuration = *budget
-		p.Seed = *seed
-		res, err := gridsched.Run(inst, p)
+		res, err := gridsched.Solve("pa-cga", inst, gridsched.SolveOptions{
+			Budget: gridsched.Budget{MaxDuration: *budget},
+			Seed:   *seed,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -16,12 +16,15 @@
 //
 // Engines: pacga (default), sync (synchronous cellular GA), islands
 // (island model), struggle (Struggle GA), cma (cMA+LTH), generational
-// (panmictic GA). The -engine path maps the PA-CGA operator flags onto
-// each algorithm's configuration; -solver instead runs any registered
-// solver (see -list-solvers) with its registered defaults under the
-// shared budget flags — including the racing portfolio meta-solver
-// ("portfolio", or an ad-hoc "portfolio:name+name+..." composition),
-// whose per-constituent breakdown is printed after the run.
+// (panmictic GA). Both paths build one solver and run it through the
+// same Solve call under the shared budget flags (-time, -evals, -gens;
+// the steady-state struggle engine rejects a -gens-only budget). The
+// -engine path maps the PA-CGA operator flags onto the engine's
+// configuration; -solver instead runs any registered solver (see
+// -list-solvers) with its registered defaults — including the racing
+// portfolio meta-solver ("portfolio", or an ad-hoc
+// "portfolio:name+name+..." composition), whose per-constituent
+// breakdown is printed after the run.
 package main
 
 import (
@@ -35,7 +38,10 @@ import (
 	"time"
 
 	"gridsched"
+	"gridsched/internal/baselines"
 	"gridsched/internal/cliutil"
+	"gridsched/internal/core"
+	"gridsched/internal/islands"
 	"gridsched/internal/obs"
 	"gridsched/internal/operators"
 	"gridsched/internal/solver"
@@ -108,9 +114,6 @@ func main() {
 	p.GridW, p.GridH = *gridW, *gridH
 	p.Threads = *threads
 	p.Seed = *seed
-	p.MaxDuration = *wall
-	p.MaxEvaluations = *evals
-	p.MaxGenerations = *gens
 	p.DisableMinMinSeed = *noSeedMM
 	p.Local = operators.H2LL{Iterations: *lsIters}
 	if p.Crossover, err = gridsched.CrossoverByName(*crossover); err != nil {
@@ -123,22 +126,24 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var res *gridsched.Result
+	var s gridsched.Solver
 	ran := *engine
 	if *solverF != "" {
 		ran = *solverF
-		res, err = gridsched.Solve(*solverF, inst, gridsched.SolveOptions{
-			Context: ctx,
-			Budget: gridsched.Budget{
-				MaxDuration:    *wall,
-				MaxEvaluations: *evals,
-				MaxGenerations: *gens,
-			},
-			Seed: *seed,
-		})
+		if s, err = gridsched.LookupSolver(*solverF); err == nil && *seed != 0 {
+			s = solver.WithSeed(s, *seed)
+		}
 	} else {
-		res, err = runEngine(ctx, *engine, inst, p)
+		s, err = engineSolver(*engine, p)
 	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := s.Solve(ctx, inst, gridsched.Budget{
+		MaxDuration:    *wall,
+		MaxEvaluations: *evals,
+		MaxGenerations: *gens,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -184,60 +189,51 @@ func main() {
 	}
 }
 
-// runEngine dispatches to the chosen algorithm, mapping the shared
-// PA-CGA parameter set onto each engine's own configuration.
-func runEngine(ctx context.Context, engine string, inst *gridsched.Instance, p gridsched.Params) (*gridsched.Result, error) {
+// engineSolver maps the shared PA-CGA parameter set onto the chosen
+// engine's solver configuration; the budget flags reach every engine
+// through Solve.
+func engineSolver(engine string, p gridsched.Params) (gridsched.Solver, error) {
 	switch engine {
 	case "pacga":
-		return gridsched.RunContext(ctx, inst, p)
+		return core.PACGA{Params: p}, nil
 	case "sync":
-		return gridsched.RunSyncContext(ctx, inst, p)
+		return core.SyncCGA{Params: p}, nil
 	case "islands":
-		return gridsched.RunIslandsContext(ctx, inst, gridsched.IslandConfig{
-			Islands:        p.Threads,
-			Neighborhood:   p.Neighborhood,
-			Selector:       p.Selector,
-			Crossover:      p.Crossover,
-			CrossProb:      p.CrossProb,
-			Mutation:       p.Mutation,
-			MutProb:        p.MutProb,
-			Local:          p.Local,
-			LocalProb:      p.LocalProb,
-			Replacement:    p.Replacement,
-			SeedMinMin:     !p.DisableMinMinSeed,
-			Seed:           p.Seed,
-			MaxGenerations: p.MaxGenerations,
-			MaxEvaluations: p.MaxEvaluations,
-			MaxDuration:    p.MaxDuration,
-		})
+		return islands.Solver{Config: islands.Config{
+			Islands:      p.Threads,
+			Neighborhood: p.Neighborhood,
+			Selector:     p.Selector,
+			Crossover:    p.Crossover,
+			CrossProb:    p.CrossProb,
+			Mutation:     p.Mutation,
+			MutProb:      p.MutProb,
+			Local:        p.Local,
+			LocalProb:    p.LocalProb,
+			Replacement:  p.Replacement,
+			SeedMinMin:   !p.DisableMinMinSeed,
+			Seed:         p.Seed,
+		}}, nil
 	case "struggle":
-		return gridsched.RunStruggleContext(ctx, inst, gridsched.StruggleConfig{
-			Crossover:      p.Crossover,
-			Mutation:       p.Mutation,
-			SeedMinMin:     !p.DisableMinMinSeed,
-			Seed:           p.Seed,
-			MaxEvaluations: p.MaxEvaluations,
-			MaxDuration:    p.MaxDuration,
-		})
+		return baselines.StruggleSolver{Config: baselines.StruggleConfig{
+			Crossover:  p.Crossover,
+			Mutation:   p.Mutation,
+			SeedMinMin: !p.DisableMinMinSeed,
+			Seed:       p.Seed,
+		}}, nil
 	case "cma":
-		return gridsched.RunCMALTHContext(ctx, inst, gridsched.CMALTHConfig{
+		return baselines.CMALTHSolver{Config: baselines.CMALTHConfig{
 			GridW: p.GridW, GridH: p.GridH,
-			SeedMinMin:     !p.DisableMinMinSeed,
-			Seed:           p.Seed,
-			MaxEvaluations: p.MaxEvaluations,
-			MaxDuration:    p.MaxDuration,
-		})
+			SeedMinMin: !p.DisableMinMinSeed,
+			Seed:       p.Seed,
+		}}, nil
 	case "generational":
-		return gridsched.RunGenerationalContext(ctx, inst, gridsched.GenerationalConfig{
-			PopSize:        p.GridW * p.GridH,
-			Crossover:      p.Crossover,
-			Mutation:       p.Mutation,
-			SeedMinMin:     !p.DisableMinMinSeed,
-			Seed:           p.Seed,
-			MaxEvaluations: p.MaxEvaluations,
-			MaxGenerations: p.MaxGenerations,
-			MaxDuration:    p.MaxDuration,
-		})
+		return baselines.GenerationalSolver{Config: baselines.GenerationalConfig{
+			PopSize:    p.GridW * p.GridH,
+			Crossover:  p.Crossover,
+			Mutation:   p.Mutation,
+			SeedMinMin: !p.DisableMinMinSeed,
+			Seed:       p.Seed,
+		}}, nil
 	}
 	return nil, fmt.Errorf("unknown engine %q (want pacga, sync, islands, struggle, cma or generational)", engine)
 }

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -87,7 +88,7 @@ func main() {
 			p.Threads = 2
 			p.MaxDuration = 250 * time.Millisecond
 			p.Seed = seed
-			res, err := gridsched.Run(inst, p)
+			res, err := gridsched.RunContext(context.Background(), inst, p)
 			if err != nil {
 				return nil, err
 			}

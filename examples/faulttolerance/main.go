@@ -33,10 +33,10 @@ func main() {
 	}
 	mctPlan := mct(inst)
 
-	p := gridsched.DefaultParams()
-	p.MaxDuration = 2 * time.Second
-	p.Seed = 11
-	res, err := gridsched.Run(inst, p)
+	res, err := gridsched.Solve("pa-cga", inst, gridsched.SolveOptions{
+		Budget: gridsched.Budget{MaxDuration: 2 * time.Second},
+		Seed:   11,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

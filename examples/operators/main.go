@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -53,7 +54,7 @@ func main() {
 			p.Local = gridsched.H2LL(cfg.ls)
 			p.Seed = uint64(run) + 1
 			p.MaxEvaluations = budget
-			res, err := gridsched.Run(inst, p)
+			res, err := gridsched.RunContext(context.Background(), inst, p)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -77,11 +77,11 @@ func main() {
 	}
 
 	// PA-CGA: worth its runtime when the campaign itself runs for hours.
-	p := gridsched.DefaultParams()
-	p.MaxDuration = 2 * time.Second
-	p.Seed = 7
 	start := time.Now()
-	res, err := gridsched.Run(inst, p)
+	res, err := gridsched.Solve("pa-cga", inst, gridsched.SolveOptions{
+		Budget: gridsched.Budget{MaxDuration: 2 * time.Second},
+		Seed:   7,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

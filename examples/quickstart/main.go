@@ -29,13 +29,13 @@ func main() {
 	minmin := gridsched.MinMin(inst)
 	fmt.Printf("min-min makespan:  %.0f\n", minmin.Makespan())
 
-	// PA-CGA with the paper's Table 1 parameters (16×16 population, L5
-	// neighborhood, tpx crossover, H2LL local search, 3 threads).
-	params := gridsched.DefaultParams()
-	params.MaxDuration = time.Second
-	params.Seed = 42
-
-	res, err := gridsched.Run(inst, params)
+	// PA-CGA, registered as "pa-cga" with the paper's Table 1
+	// parameters (16×16 population, L5 neighborhood, tpx crossover,
+	// H2LL local search, 3 threads), under a one-second budget.
+	res, err := gridsched.Solve("pa-cga", inst, gridsched.SolveOptions{
+		Budget: gridsched.Budget{MaxDuration: time.Second},
+		Seed:   42,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,17 +15,15 @@
 // Quick start:
 //
 //	inst, _ := gridsched.GenerateInstance("u_i_hihi.0")
-//	p := gridsched.DefaultParams()
-//	p.MaxDuration = 2 * time.Second
-//	res, _ := gridsched.Run(inst, p)
+//	res, _ := gridsched.Solve("pa-cga", inst, gridsched.SolveOptions{
+//		Budget: gridsched.Budget{MaxDuration: 2 * time.Second},
+//	})
 //	fmt.Println("makespan:", res.BestFitness)
 //
-// Every algorithm also registers itself with the unified solver layer,
-// so the whole family is reachable through one dispatch surface:
-//
-//	res, _ := gridsched.Solve("pa-cga", inst, gridsched.SolveOptions{
-//		Budget: gridsched.Budget{MaxEvaluations: 100000},
-//	})
+// Every algorithm registers itself with the unified solver layer, and
+// Solve is the one way to run any of them by name. RunContext runs
+// PA-CGA with the full Table 1 knob set (Params: threads, operators,
+// population shape) when the registered defaults are not enough.
 //
 // SolverNames lists what is available (the cellular GAs, the literature
 // baselines, the island model, standalone tabu search, the iterated
@@ -40,14 +38,12 @@ import (
 	"context"
 	"io"
 
-	"gridsched/internal/baselines"
 	"gridsched/internal/core"
 	"gridsched/internal/etc"
 	"gridsched/internal/experiments"
 	"gridsched/internal/gridsim"
 	"gridsched/internal/heuristics"
 	"gridsched/internal/instdb"
-	"gridsched/internal/islands"
 	"gridsched/internal/operators"
 	"gridsched/internal/rng"
 	"gridsched/internal/scenarios"
@@ -224,24 +220,13 @@ type Result = core.Result
 // mutation, H2LL×10, replace-if-better, 3 threads).
 func DefaultParams() Params { return core.DefaultParams() }
 
-// Run executes the parallel asynchronous cellular GA.
-func Run(in *Instance, p Params) (*Result, error) { return core.Run(in, p) }
-
-// RunContext is Run with context cancellation: the run stops at the
-// budget or the context, whichever fires first, and reports the best
-// schedule found so far.
+// RunContext executes the parallel asynchronous cellular GA with the
+// full Table 1 knob set: the run stops at the params' budget or the
+// context, whichever fires first, and reports the best schedule found
+// so far. For a Table 1 run that only sets a seed and a budget,
+// Solve("pa-cga", ...) is the shorter path.
 func RunContext(ctx context.Context, in *Instance, p Params) (*Result, error) {
 	return core.RunContext(ctx, in, p)
-}
-
-// RunSync executes the synchronous cellular GA variant (single thread,
-// generation barrier); the substrate of the cMA baseline and the
-// async-vs-sync ablation.
-func RunSync(in *Instance, p Params) (*Result, error) { return core.RunSync(in, p) }
-
-// RunSyncContext is RunSync with context cancellation.
-func RunSyncContext(ctx context.Context, in *Instance, p Params) (*Result, error) {
-	return core.RunSyncContext(ctx, in, p)
 }
 
 // Operator constructors for Params customization.
@@ -283,65 +268,6 @@ func HeuristicByName(name string) (func(*Instance) *Schedule, error) {
 
 // HeuristicNames lists the available constructive heuristics.
 func HeuristicNames() []string { return heuristics.Names() }
-
-// --- Literature baselines (Table 2 comparators) ---
-
-// StruggleConfig configures the Struggle GA baseline.
-type StruggleConfig = baselines.StruggleConfig
-
-// CMALTHConfig configures the cellular memetic (tabu hook) baseline.
-type CMALTHConfig = baselines.CMALTHConfig
-
-// RunStruggle executes the Struggle GA of Xhafa (2006).
-func RunStruggle(in *Instance, cfg StruggleConfig) (*Result, error) {
-	return baselines.Struggle(in, cfg)
-}
-
-// RunStruggleContext is RunStruggle with context cancellation.
-func RunStruggleContext(ctx context.Context, in *Instance, cfg StruggleConfig) (*Result, error) {
-	return baselines.StruggleContext(ctx, in, cfg)
-}
-
-// RunCMALTH executes the cellular memetic algorithm with local tabu hook
-// of Xhafa et al. (2008).
-func RunCMALTH(in *Instance, cfg CMALTHConfig) (*Result, error) {
-	return baselines.CMALTH(in, cfg)
-}
-
-// RunCMALTHContext is RunCMALTH with context cancellation.
-func RunCMALTHContext(ctx context.Context, in *Instance, cfg CMALTHConfig) (*Result, error) {
-	return baselines.CMALTHContext(ctx, in, cfg)
-}
-
-// GenerationalConfig configures the panmictic generational GA baseline —
-// the "regular GA" cellular GAs are claimed to outperform (§1).
-type GenerationalConfig = baselines.GenerationalConfig
-
-// RunGenerational executes the panmictic generational GA.
-func RunGenerational(in *Instance, cfg GenerationalConfig) (*Result, error) {
-	return baselines.Generational(in, cfg)
-}
-
-// RunGenerationalContext is RunGenerational with context cancellation.
-func RunGenerationalContext(ctx context.Context, in *Instance, cfg GenerationalConfig) (*Result, error) {
-	return baselines.GenerationalContext(ctx, in, cfg)
-}
-
-// IslandConfig configures the distributed island-model cellular GA: the
-// message-passing parallelization contrasted with PA-CGA's shared
-// memory. Islands evolve lock-free private populations coupled only by
-// elite migration over a channel ring.
-type IslandConfig = islands.Config
-
-// RunIslands executes the island-model cellular GA.
-func RunIslands(in *Instance, cfg IslandConfig) (*Result, error) {
-	return islands.Run(in, cfg)
-}
-
-// RunIslandsContext is RunIslands with context cancellation.
-func RunIslandsContext(ctx context.Context, in *Instance, cfg IslandConfig) (*Result, error) {
-	return islands.RunContext(ctx, in, cfg)
-}
 
 // --- Scheduling service ---
 
@@ -481,8 +407,10 @@ func CIScale() Scale { return experiments.CIScale() }
 // PaperScale returns the paper's 100×90 s budgets.
 func PaperScale() Scale { return experiments.PaperScale() }
 
-// Experiment entry points; each returns structured rows, and the
-// corresponding Render function formats them like the paper.
+// Experiment entry points (the *Context functions below); each returns
+// structured rows, and the corresponding Render function formats them
+// like the paper. Cancelling the context aborts the experiment with the
+// context's error.
 
 // Fig4Row etc. re-export the experiment row types.
 type (
@@ -492,36 +420,25 @@ type (
 	Fig6Series = experiments.Fig6Series
 )
 
-// Fig4 measures evaluation-throughput speedup vs threads and H2LL
-// iterations (requires a wall-clock scale).
-func Fig4(in *Instance, sc Scale) ([]Fig4Row, error) { return experiments.Fig4(in, sc) }
-
-// Fig4Context is Fig4 under a context: cancellation aborts the
-// experiment with the context's error.
+// Fig4Context measures evaluation-throughput speedup vs threads and
+// H2LL iterations (requires a wall-clock scale); cancellation aborts
+// the experiment with the context's error.
 func Fig4Context(ctx context.Context, in *Instance, sc Scale) ([]Fig4Row, error) {
 	return experiments.Fig4Context(ctx, in, sc)
 }
 
-// Fig5 compares opx/tpx × 5/10 H2LL iterations over instances.
-func Fig5(ins []*Instance, sc Scale) ([]Fig5Cell, error) { return experiments.Fig5(ins, sc) }
-
-// Fig5Context is Fig5 under a context.
+// Fig5Context compares opx/tpx × 5/10 H2LL iterations over instances.
 func Fig5Context(ctx context.Context, ins []*Instance, sc Scale) ([]Fig5Cell, error) {
 	return experiments.Fig5Context(ctx, ins, sc)
 }
 
-// Table2 compares PA-CGA against the reimplemented literature baselines.
-func Table2(ins []*Instance, sc Scale) ([]Table2Row, error) { return experiments.Table2(ins, sc) }
-
-// Table2Context is Table2 under a context.
+// Table2Context compares PA-CGA against the reimplemented literature
+// baselines.
 func Table2Context(ctx context.Context, ins []*Instance, sc Scale) ([]Table2Row, error) {
 	return experiments.Table2Context(ctx, ins, sc)
 }
 
-// Fig6 records population convergence for 1..4 threads.
-func Fig6(in *Instance, sc Scale) ([]Fig6Series, error) { return experiments.Fig6(in, sc) }
-
-// Fig6Context is Fig6 under a context.
+// Fig6Context records population convergence for 1..4 threads.
 func Fig6Context(ctx context.Context, in *Instance, sc Scale) ([]Fig6Series, error) {
 	return experiments.Fig6Context(ctx, in, sc)
 }
@@ -529,13 +446,8 @@ func Fig6Context(ctx context.Context, in *Instance, sc Scale) ([]Fig6Series, err
 // DiversitySeries is one population model's diversity trajectory.
 type DiversitySeries = experiments.DiversitySeries
 
-// DiversityStudy compares how cellular and panmictic populations retain
-// genotypic diversity — §3.1's founding claim.
-func DiversityStudy(in *Instance, sc Scale) ([]DiversitySeries, error) {
-	return experiments.DiversityStudy(in, sc)
-}
-
-// DiversityStudyContext is DiversityStudy under a context.
+// DiversityStudyContext compares how cellular and panmictic
+// populations retain genotypic diversity — §3.1's founding claim.
 func DiversityStudyContext(ctx context.Context, in *Instance, sc Scale) ([]DiversitySeries, error) {
 	return experiments.DiversityStudyContext(ctx, in, sc)
 }

@@ -2,6 +2,7 @@ package gridsched
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -19,7 +20,7 @@ func TestGenerateInstanceAndRun(t *testing.T) {
 	p.GridW, p.GridH = 8, 8
 	p.Threads = 2
 	p.MaxEvaluations = 2000
-	res, err := Run(in, p)
+	res, err := RunContext(context.Background(), in, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +78,12 @@ func TestFacadeBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := RunStruggle(in, StruggleConfig{Seed: 1, MaxEvaluations: 1000, SeedMinMin: true})
+	opts := SolveOptions{Budget: Budget{MaxEvaluations: 1000}, Seed: 1}
+	st, err := Solve("struggle", in, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm, err := RunCMALTH(in, CMALTHConfig{GridW: 8, GridH: 8, Seed: 1, MaxEvaluations: 1000, SeedMinMin: true})
+	cm, err := Solve("cma-lth", in, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,10 +136,7 @@ func TestFacadeRunSyncAndSchedules(t *testing.T) {
 	if empty.Complete() {
 		t.Fatal("fresh schedule complete")
 	}
-	p := DefaultParams()
-	p.GridW, p.GridH = 8, 8
-	p.MaxEvaluations = 1000
-	res, err := RunSync(in, p)
+	res, err := Solve("sync-cga", in, SolveOptions{Budget: Budget{MaxEvaluations: 1000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,14 +150,15 @@ func TestFacadeIslandsAndGenerational(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	isl, err := RunIslands(in, IslandConfig{Seed: 1, MaxGenerations: 5, SeedMinMin: true})
+	opts := SolveOptions{Budget: Budget{MaxGenerations: 5}, Seed: 1}
+	isl, err := Solve("islands", in, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := isl.Best.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	gen, err := RunGenerational(in, GenerationalConfig{Seed: 1, MaxGenerations: 5, PopSize: 32})
+	gen, err := Solve("generational", in, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestFacadeFlowtimeWeight(t *testing.T) {
 	p.GridW, p.GridH = 8, 8
 	p.MaxEvaluations = 1000
 	p.FlowtimeWeight = 0.5
-	res, err := Run(in, p)
+	res, err := RunContext(context.Background(), in, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestFacadeDiversityStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	series, err := DiversityStudy(in, Scale{Runs: 1, BaseSeed: 1})
+	series, err := DiversityStudyContext(context.Background(), in, Scale{Runs: 1, BaseSeed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,6 @@ package baselines
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"gridsched/internal/core"
 	"gridsched/internal/etc"
@@ -48,9 +47,6 @@ type StruggleConfig struct {
 	SeedMinMin bool
 	// Seed drives all randomness.
 	Seed uint64
-	// Stop conditions: whichever fires first.
-	MaxEvaluations int64
-	MaxDuration    time.Duration
 }
 
 func (c StruggleConfig) withDefaults() StruggleConfig {
@@ -75,27 +71,49 @@ func (c StruggleConfig) withDefaults() StruggleConfig {
 	return c
 }
 
-// Struggle runs the Struggle GA and returns a core.Result so all
-// algorithms share one result shape in the harness.
-func Struggle(inst *etc.Instance, cfg StruggleConfig) (*core.Result, error) {
-	return StruggleContext(context.Background(), inst, cfg)
+// StruggleSolver is the Struggle GA behind the unified solver
+// interface. Its registered configuration mirrors the Table 2 setup
+// (Min-min seed, the published operator rates).
+type StruggleSolver struct {
+	Config StruggleConfig
 }
 
-// StruggleContext is Struggle with context cancellation, polled at the
-// shared engine's coarse steady-state granularity.
-func StruggleContext(ctx context.Context, inst *etc.Instance, cfg StruggleConfig) (*core.Result, error) {
-	cfg = cfg.withDefaults()
+// Name implements solver.Solver.
+func (s StruggleSolver) Name() string { return "struggle" }
+
+// Describe implements solver.Solver.
+func (s StruggleSolver) Describe() string {
+	return "Struggle GA of Xhafa (2006): steady-state, replaces the most similar individual"
+}
+
+// WithSeed implements solver.Seeder.
+func (s StruggleSolver) WithSeed(seed uint64) solver.Solver {
+	s.Config.Seed = seed
+	return s
+}
+
+// Reproducible implements solver.Reproducible: a single-threaded
+// steady-state loop.
+func (s StruggleSolver) Reproducible() bool { return true }
+
+// Solve implements solver.Solver. A steady-state GA has no
+// generations, so MaxGenerations is not a bound it enforces: at least
+// one of MaxDuration and MaxEvaluations must be set. Cancellation is
+// polled at the shared engine's coarse steady-state granularity.
+func (s StruggleSolver) Solve(ctx context.Context, inst *etc.Instance, b solver.Budget) (*solver.Result, error) {
+	cfg := s.Config.withDefaults()
 	if cfg.PopSize < 2 {
 		return nil, fmt.Errorf("baselines: struggle population %d too small", cfg.PopSize)
 	}
-	if cfg.MaxEvaluations <= 0 && cfg.MaxDuration <= 0 {
-		return nil, fmt.Errorf("baselines: struggle needs a stop condition")
+	if b.MaxEvaluations <= 0 && b.MaxDuration <= 0 {
+		if b.MaxGenerations > 0 {
+			return nil, fmt.Errorf("baselines: struggle is steady-state and cannot enforce MaxGenerations; set MaxEvaluations or MaxDuration")
+		}
+		return nil, fmt.Errorf("baselines: struggle needs MaxEvaluations or MaxDuration")
 	}
+	b.MaxGenerations = 0 // not enforced, so not reported as effective
 
-	eng := solver.NewEngine(ctx, solver.Budget{
-		MaxDuration:    cfg.MaxDuration,
-		MaxEvaluations: cfg.MaxEvaluations,
-	})
+	eng := solver.NewEngine(ctx, b)
 	r := rng.New(cfg.Seed)
 	pop := make([]*schedule.Schedule, cfg.PopSize)
 	fit := make([]float64, cfg.PopSize)
@@ -165,7 +183,7 @@ func StruggleContext(ctx context.Context, inst *etc.Instance, cfg StruggleConfig
 		}
 	}
 	eng.Finish(fit[bestIdx])
-	return &core.Result{
+	return &solver.Result{
 		Best:            pop[bestIdx].Clone(),
 		BestFitness:     fit[bestIdx],
 		Evaluations:     eng.Evals(),
@@ -198,32 +216,48 @@ type CMALTHConfig struct {
 	// GridW, GridH give the cellular population (default 16×16 to match
 	// the paper's population size).
 	GridW, GridH int
-	// TabuIters bounds the local tabu hook per offspring (default 20).
+	// TabuIters bounds the local tabu hook per offspring (default 10).
 	TabuIters int
 	// SeedMinMin seeds one Min-min individual (the cMA study does).
 	SeedMinMin bool
 	// Seed drives all randomness.
 	Seed uint64
-	// Stop conditions: whichever fires first.
-	MaxEvaluations int64
-	MaxDuration    time.Duration
 }
 
-// CMALTH runs the cellular memetic algorithm with local tabu hook: the
-// synchronous cellular engine configured per the published cMA study —
-// binary tournament selection, p_c = 0.8, p_m = 0.4 — with a short,
-// narrow tabu hop in place of H2LL. (Configuring it with the PA-CGA's
-// own p=1.0 operator rates and a wide tabu makes the baseline stronger
-// than the published algorithm; these defaults keep the comparison
-// faithful.)
-func CMALTH(inst *etc.Instance, cfg CMALTHConfig) (*core.Result, error) {
-	return CMALTHContext(context.Background(), inst, cfg)
+// CMALTHSolver is the cellular memetic algorithm with local tabu hook
+// behind the unified solver interface: the synchronous cellular engine
+// configured per the published cMA study — binary tournament
+// selection, p_c = 0.8, p_m = 0.4 — with a short, narrow tabu hop in
+// place of H2LL. (Configuring it with the PA-CGA's own p=1.0 operator
+// rates and a wide tabu makes the baseline stronger than the published
+// algorithm; these defaults keep the comparison faithful.)
+type CMALTHSolver struct {
+	Config CMALTHConfig
 }
 
-// CMALTHContext is CMALTH with context cancellation, inherited from the
-// synchronous cellular engine underneath.
-func CMALTHContext(ctx context.Context, inst *etc.Instance, cfg CMALTHConfig) (*core.Result, error) {
-	p := core.DefaultParams()
+// Name implements solver.Solver.
+func (s CMALTHSolver) Name() string { return "cma-lth" }
+
+// Describe implements solver.Solver.
+func (s CMALTHSolver) Describe() string {
+	return "cMA+LTH of Xhafa et al. (2008): synchronous cellular memetic GA with a tabu hook"
+}
+
+// WithSeed implements solver.Seeder.
+func (s CMALTHSolver) WithSeed(seed uint64) solver.Solver {
+	s.Config.Seed = seed
+	return s
+}
+
+// Reproducible implements solver.Reproducible: the synchronous cellular
+// memetic loop runs one thread.
+func (s CMALTHSolver) Reproducible() bool { return true }
+
+// Solve implements solver.Solver. The budget goes to the synchronous
+// cellular engine unchanged, so all three bounds (and cancellation, at
+// generation granularity) apply.
+func (s CMALTHSolver) Solve(ctx context.Context, inst *etc.Instance, b solver.Budget) (*solver.Result, error) {
+	cfg, p := s.Config, core.DefaultParams()
 	if cfg.GridW > 0 {
 		p.GridW = cfg.GridW
 	}
@@ -241,7 +275,11 @@ func CMALTHContext(ctx context.Context, inst *etc.Instance, cfg CMALTHConfig) (*
 	p.MutProb = 0.4
 	p.Seed = cfg.Seed
 	p.DisableMinMinSeed = !cfg.SeedMinMin
-	p.MaxEvaluations = cfg.MaxEvaluations
-	p.MaxDuration = cfg.MaxDuration
-	return core.RunSyncContext(ctx, inst, p)
+	return core.SyncCGA{Params: p}.Solve(ctx, inst, b)
+}
+
+func init() {
+	solver.Register(StruggleSolver{Config: StruggleConfig{Seed: 1, SeedMinMin: true}})
+	solver.Register(CMALTHSolver{Config: CMALTHConfig{Seed: 1, SeedMinMin: true}})
+	solver.Register(GenerationalSolver{Config: GenerationalConfig{Seed: 1, SeedMinMin: true}})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -15,6 +16,16 @@ import (
 // rngForTest builds a deterministic RNG stream for direct population
 // construction in white-box tests.
 func rngForTest(seed uint64) *rng.Rand { return rng.New(seed) }
+
+// run and runSync execute the asynchronous and synchronous engines
+// without a deadline or cancellation.
+func run(in *etc.Instance, p Params) (*Result, error) {
+	return RunContext(context.Background(), in, p)
+}
+
+func runSync(in *etc.Instance, p Params) (*Result, error) {
+	return RunSyncContext(context.Background(), in, p)
+}
 
 func testInstance(t testing.TB, seed uint64) *etc.Instance {
 	t.Helper()
@@ -71,7 +82,7 @@ func TestDefaultParamsMatchTable1(t *testing.T) {
 func TestRunRequiresStopCondition(t *testing.T) {
 	in := testInstance(t, 1)
 	p := DefaultParams()
-	if _, err := Run(in, p); err == nil {
+	if _, err := run(in, p); err == nil {
 		t.Fatal("Run accepted params with no stop condition")
 	}
 }
@@ -91,7 +102,7 @@ func TestRunParamValidation(t *testing.T) {
 		p := DefaultParams()
 		p.MaxEvaluations = 100
 		mutate(&p)
-		if _, err := Run(in, p); err == nil {
+		if _, err := run(in, p); err == nil {
 			t.Fatalf("bad param set %d accepted", i)
 		}
 	}
@@ -100,11 +111,11 @@ func TestRunParamValidation(t *testing.T) {
 func TestRunSingleThreadDeterministic(t *testing.T) {
 	in := testInstance(t, 2)
 	p := smallParams(1, 42)
-	a, err := Run(in, p)
+	a, err := run(in, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(in, p)
+	b, err := run(in, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +134,7 @@ func TestRunRespectsEvaluationBudget(t *testing.T) {
 	in := testInstance(t, 3)
 	p := smallParams(1, 1)
 	p.MaxEvaluations = 500
-	res, err := Run(in, p)
+	res, err := run(in, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +148,7 @@ func TestRunRespectsGenerationBudget(t *testing.T) {
 	p := smallParams(2, 1)
 	p.MaxEvaluations = 0
 	p.MaxGenerations = 7
-	res, err := Run(in, p)
+	res, err := run(in, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +168,7 @@ func TestRunRespectsWallClock(t *testing.T) {
 	p.MaxEvaluations = 0
 	p.MaxDuration = 50 * time.Millisecond
 	start := time.Now()
-	res, err := Run(in, p)
+	res, err := run(in, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +190,7 @@ func TestRunImprovesOverMinMin(t *testing.T) {
 	mm := heuristics.MinMin(in).Makespan()
 	p := smallParams(1, 7)
 	p.MaxEvaluations = 20000
-	res, err := Run(in, p)
+	res, err := run(in, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +201,7 @@ func TestRunImprovesOverMinMin(t *testing.T) {
 
 func TestRunBestMatchesSchedule(t *testing.T) {
 	in := testInstance(t, 7)
-	res, err := Run(in, smallParams(2, 3))
+	res, err := run(in, smallParams(2, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +221,7 @@ func TestRunMultiThreadedAllLockModes(t *testing.T) {
 	for _, mode := range []LockMode{PerCellRWMutex, PerCellMutex, GlobalMutex} {
 		p := smallParams(4, 11)
 		p.LockMode = mode
-		res, err := Run(in, p)
+		res, err := run(in, p)
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
@@ -223,7 +234,7 @@ func TestRunMultiThreadedAllLockModes(t *testing.T) {
 func TestRunThreadsPartitionPopulation(t *testing.T) {
 	in := testInstance(t, 9)
 	p := smallParams(3, 13)
-	res, err := Run(in, p)
+	res, err := run(in, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +247,7 @@ func TestRunWithoutMinMinSeed(t *testing.T) {
 	in := testInstance(t, 10)
 	p := smallParams(1, 17)
 	p.DisableMinMinSeed = true
-	res, err := Run(in, p)
+	res, err := run(in, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,11 +259,11 @@ func TestRunWithoutMinMinSeed(t *testing.T) {
 	pSeeded := smallParams(1, 17)
 	pSeeded.MaxEvaluations = 70 // barely past initial evaluation (64)
 	p.MaxEvaluations = 70
-	seeded, err := Run(in, pSeeded)
+	seeded, err := run(in, pSeeded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	unseeded, err := Run(in, p)
+	unseeded, err := run(in, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +279,7 @@ func TestRunConvergenceRecording(t *testing.T) {
 	p.MaxEvaluations = 0
 	p.MaxGenerations = 10
 	p.RecordConvergence = true
-	res, err := Run(in, p)
+	res, err := run(in, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,11 +301,11 @@ func TestRunMoreEvaluationsIsNotWorse(t *testing.T) {
 	short.MaxEvaluations = 500
 	long := smallParams(1, 23)
 	long.MaxEvaluations = 10000
-	a, err := Run(in, short)
+	a, err := run(in, short)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(in, long)
+	b, err := run(in, long)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +317,7 @@ func TestRunMoreEvaluationsIsNotWorse(t *testing.T) {
 func TestRunLocalSearchMovesCounted(t *testing.T) {
 	in := testInstance(t, 13)
 	p := smallParams(1, 29)
-	res, err := Run(in, p)
+	res, err := run(in, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +325,7 @@ func TestRunLocalSearchMovesCounted(t *testing.T) {
 		t.Fatal("H2LL reported zero improving moves over an entire run")
 	}
 	p.Local = operators.H2LL{Iterations: 0}
-	res0, err := Run(in, p)
+	res0, err := run(in, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +339,7 @@ func TestRunAllCrossovers(t *testing.T) {
 	for _, cx := range []operators.Crossover{operators.OnePoint{}, operators.TwoPoint{}, operators.Uniform{}} {
 		p := smallParams(2, 31)
 		p.Crossover = cx
-		res, err := Run(in, p)
+		res, err := run(in, p)
 		if err != nil {
 			t.Fatalf("%s: %v", cx.Name(), err)
 		}
@@ -343,7 +354,7 @@ func TestRunSweepPolicies(t *testing.T) {
 	for _, sw := range []topology.SweepPolicy{topology.LineSweep, topology.FixedRandomSweep, topology.NewRandomSweep} {
 		p := smallParams(2, 37)
 		p.Sweep = sw
-		if _, err := Run(in, p); err != nil {
+		if _, err := run(in, p); err != nil {
 			t.Fatalf("%v: %v", sw, err)
 		}
 	}
@@ -354,7 +365,7 @@ func TestRunSweepPolicies(t *testing.T) {
 func TestRunSyncBasic(t *testing.T) {
 	in := testInstance(t, 16)
 	p := smallParams(1, 41)
-	res, err := RunSync(in, p)
+	res, err := runSync(in, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,8 +380,8 @@ func TestRunSyncBasic(t *testing.T) {
 func TestRunSyncDeterministic(t *testing.T) {
 	in := testInstance(t, 17)
 	p := smallParams(1, 43)
-	a, _ := RunSync(in, p)
-	b, _ := RunSync(in, p)
+	a, _ := runSync(in, p)
+	b, _ := runSync(in, p)
 	if a.BestFitness != b.BestFitness || a.Evaluations != b.Evaluations {
 		t.Fatal("sync runs with identical seed differ")
 	}
@@ -381,7 +392,7 @@ func TestRunSyncGenerationBudget(t *testing.T) {
 	p := smallParams(1, 47)
 	p.MaxEvaluations = 0
 	p.MaxGenerations = 5
-	res, err := RunSync(in, p)
+	res, err := runSync(in, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +411,7 @@ func TestRunSyncConvergenceMonotone(t *testing.T) {
 	p.MaxEvaluations = 0
 	p.MaxGenerations = 8
 	p.RecordConvergence = true
-	res, err := RunSync(in, p)
+	res, err := runSync(in, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,11 +437,11 @@ func TestAsyncConvergesFasterThanSyncOnGenerations(t *testing.T) {
 		p := smallParams(1, 100+s)
 		p.MaxEvaluations = 0
 		p.MaxGenerations = 30
-		a, err := Run(in, p)
+		a, err := run(in, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := RunSync(in, p)
+		b, err := runSync(in, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -468,7 +479,7 @@ func TestRunDiversityRecording(t *testing.T) {
 	p.MaxEvaluations = 0
 	p.MaxGenerations = 12
 	p.RecordDiversity = true
-	res, err := Run(in, p)
+	res, err := run(in, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +509,7 @@ func TestRunSyncDiversityRecording(t *testing.T) {
 	p.MaxEvaluations = 0
 	p.MaxGenerations = 6
 	p.RecordDiversity = true
-	res, err := RunSync(in, p)
+	res, err := runSync(in, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,11 +545,11 @@ func TestFlowtimeWeightValidation(t *testing.T) {
 	in := testInstance(t, 28)
 	p := smallParams(1, 71)
 	p.FlowtimeWeight = 1.5
-	if _, err := Run(in, p); err == nil {
+	if _, err := run(in, p); err == nil {
 		t.Fatal("FlowtimeWeight > 1 accepted")
 	}
 	p.FlowtimeWeight = -0.1
-	if _, err := Run(in, p); err == nil {
+	if _, err := run(in, p); err == nil {
 		t.Fatal("negative FlowtimeWeight accepted")
 	}
 }
@@ -555,13 +566,13 @@ func TestFlowtimeObjectiveOptimizesFlowtime(t *testing.T) {
 		base := smallParams(1, 200+s)
 		base.LocalProb = 0
 		base.MaxEvaluations = 6000
-		resM, err := Run(in, base)
+		resM, err := run(in, base)
 		if err != nil {
 			t.Fatal(err)
 		}
 		withFT := base
 		withFT.FlowtimeWeight = 1
-		resF, err := Run(in, withFT)
+		resF, err := run(in, withFT)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -578,7 +589,7 @@ func TestFlowtimeObjectiveFitnessSemantics(t *testing.T) {
 	in := testInstance(t, 30)
 	p := smallParams(1, 73)
 	p.FlowtimeWeight = 0.5
-	res, err := Run(in, p)
+	res, err := run(in, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -629,7 +640,7 @@ func TestSyncPartialGenerationRecorded(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := base
 			p.MaxEvaluations = popSize + tc.extra
-			res, err := RunSync(in, p)
+			res, err := runSync(in, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -668,7 +679,7 @@ func TestRunChargesInitToWallBudget(t *testing.T) {
 	p.Threads = 1
 	p.MaxDuration = 50 * time.Millisecond
 	start := time.Now()
-	res, err := Run(in, p)
+	res, err := run(in, p)
 	if err != nil {
 		t.Fatal(err)
 	}

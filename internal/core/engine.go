@@ -22,17 +22,12 @@ import (
 // deliberately niche into different search-space regions).
 type Result = solver.Result
 
-// Run executes PA-CGA (Algorithms 2–3) on the instance and returns the
-// result. It spawns Params.Threads worker goroutines, each evolving its
-// contiguous population block asynchronously until a stop condition
-// fires.
-func Run(inst *etc.Instance, p Params) (*Result, error) {
-	return RunContext(context.Background(), inst, p)
-}
-
-// RunContext is Run with context cancellation: the run stops at the
-// earliest of the params' stop conditions and ctx's cancellation,
-// checked at the same coarse granularity as the wall-clock deadline.
+// RunContext executes PA-CGA (Algorithms 2–3) on the instance and
+// returns the result. It spawns Params.Threads worker goroutines, each
+// evolving its contiguous population block asynchronously until a stop
+// condition fires: the earliest of the params' stop conditions and
+// ctx's cancellation, checked at the same coarse granularity as the
+// wall-clock deadline.
 func RunContext(ctx context.Context, inst *etc.Instance, p Params) (*Result, error) {
 	p = p.withDefaults()
 	if err := p.validate(); err != nil {

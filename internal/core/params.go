@@ -59,7 +59,7 @@ func (m LockMode) String() string {
 
 // Params collects every knob of PA-CGA. DefaultParams returns the paper's
 // Table 1 configuration; zero values for the interface-typed operators
-// are filled with the Table 1 defaults by Run.
+// are filled with the Table 1 defaults by RunContext.
 type Params struct {
 	// GridW, GridH are the population mesh dimensions (Table 1: 16×16).
 	GridW, GridH int

@@ -22,7 +22,7 @@ func TestSoAPopulationConcurrentWorkers(t *testing.T) {
 		p.LockMode = mode
 		p.RecordConvergence = true
 		p.RecordDiversity = true
-		res, err := Run(in, p)
+		res, err := run(in, p)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}

@@ -39,7 +39,7 @@ func TestRunManyThreadsBeyondPaper(t *testing.T) {
 		p.Threads = threads
 		p.Seed = 5
 		p.MaxEvaluations = 4000
-		res, err := Run(in, p)
+		res, err := run(in, p)
 		if err != nil {
 			t.Fatalf("threads=%d: %v", threads, err)
 		}
@@ -64,7 +64,7 @@ func TestRunOneThreadPerCell(t *testing.T) {
 	p.Threads = 16
 	p.Seed = 7
 	p.MaxEvaluations = 2000
-	res, err := Run(in, p)
+	res, err := run(in, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestRunDegenerateGrids(t *testing.T) {
 		p.Threads = 1
 		p.Seed = 9
 		p.MaxEvaluations = 500
-		res, err := Run(in, p)
+		res, err := run(in, p)
 		if err != nil {
 			t.Fatalf("grid %dx%d: %v", sh[0], sh[1], err)
 		}
@@ -112,7 +112,7 @@ func TestConcurrentIndependentRuns(t *testing.T) {
 			p.Threads = 2
 			p.Seed = 100 // identical seed: single-engine determinism is per-run
 			p.MaxEvaluations = 3000
-			results[i], errs[i] = Run(in, p)
+			results[i], errs[i] = run(in, p)
 		}(i)
 	}
 	wg.Wait()
@@ -135,7 +135,7 @@ func TestRunTinyEvaluationBudget(t *testing.T) {
 	p.Threads = 2
 	p.Seed = 3
 	p.MaxEvaluations = 10
-	res, err := Run(in, p)
+	res, err := run(in, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestRunAllNeighborhoods(t *testing.T) {
 		p.Neighborhood = n
 		p.Seed = 11
 		p.MaxEvaluations = 3000
-		res, err := Run(in, p)
+		res, err := run(in, p)
 		if err != nil {
 			t.Fatalf("%v: %v", n, err)
 		}
@@ -177,7 +177,7 @@ func TestRunReplaceAlwaysKeepsBestEver(t *testing.T) {
 	p.Replacement = operators.ReplaceAlways
 	p.Seed = 13
 	p.MaxEvaluations = 4000
-	res, err := Run(in, p)
+	res, err := run(in, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestRunZeroProbabilityOperators(t *testing.T) {
 	p.CrossProb, p.MutProb, p.LocalProb = 0, 0, 0
 	p.Seed = 17
 	p.MaxEvaluations = 2000
-	res, err := Run(in, p)
+	res, err := run(in, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestRunZeroProbabilityOperators(t *testing.T) {
 	mmFit := res.BestFitness
 	p2 := p
 	p2.MaxEvaluations = 200
-	res2, err := Run(in, p2)
+	res2, err := run(in, p2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestResultPerThreadSumsToGenerations(t *testing.T) {
 	p.Threads = 4
 	p.Seed = 19
 	p.MaxEvaluations = 5000
-	res, err := Run(in, p)
+	res, err := run(in, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,18 +11,14 @@ import (
 	"gridsched/internal/topology"
 )
 
-// RunSync executes the synchronous cellular GA model of §3.1: every
-// generation, all offspring are produced against the current population
-// and placed in an auxiliary population, which then replaces the current
-// one at once. It is single-threaded (Params.Threads and LockMode are
-// ignored) and serves as the async-vs-sync ablation and as the substrate
-// for the cellular memetic baseline.
-func RunSync(inst *etc.Instance, p Params) (*Result, error) {
-	return RunSyncContext(context.Background(), inst, p)
-}
-
-// RunSyncContext is RunSync with context cancellation, checked at
-// generation granularity like the wall-clock deadline.
+// RunSyncContext executes the synchronous cellular GA model of §3.1:
+// every generation, all offspring are produced against the current
+// population and placed in an auxiliary population, which then
+// replaces the current one at once. It is single-threaded
+// (Params.Threads and LockMode are ignored) and serves as the
+// async-vs-sync ablation and as the substrate for the cellular memetic
+// baseline. Context cancellation is checked at generation granularity
+// like the wall-clock deadline.
 func RunSyncContext(ctx context.Context, inst *etc.Instance, p Params) (*Result, error) {
 	p = p.withDefaults()
 	p.Threads = 1

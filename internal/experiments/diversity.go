@@ -9,6 +9,7 @@ import (
 	"gridsched/internal/core"
 	"gridsched/internal/etc"
 	"gridsched/internal/operators"
+	"gridsched/internal/solver"
 	"gridsched/internal/textplot"
 )
 
@@ -20,14 +21,17 @@ type DiversitySeries struct {
 	Mean  []float64
 }
 
-// DiversityStudy quantifies §3.1's founding claim — cellular populations
-// keep genotypic diversity longer than panmictic ones — by recording
-// per-generation diversity for three models at equal population size and
-// generation budget:
+// DiversityStudyContext quantifies §3.1's founding claim — cellular
+// populations keep genotypic diversity longer than panmictic ones — by
+// recording per-generation diversity for three models at equal
+// population size and generation budget:
 //
 //   - "cellular" — the asynchronous cellular GA (PA-CGA with one thread);
-//   - "cellular-3t" — PA-CGA with the paper's 3 threads, to show the
-//     block partition does not destroy the effect;
+//   - "cellular-3t" — PA-CGA with the paper's 3 threads, partitioned
+//     into blocks. Its diversity series depends on how the workers
+//     interleave (the first worker samples the whole population while
+//     the other blocks evolve at their own pace), so unlike the other
+//     two models it is not fixed by the seed;
 //   - "panmictic" — the generational GA, where anyone mates with anyone.
 //
 // To isolate *population structure*, everything else is equalized: no
@@ -35,14 +39,9 @@ type DiversitySeries struct {
 // toward the same packing and would dominate the comparison), binary
 // tournament selection and identical operator probabilities in all
 // models. The only difference left is whether mating is restricted to an
-// L5 neighborhood or global.
-func DiversityStudy(inst *etc.Instance, sc Scale) ([]DiversitySeries, error) {
-	return DiversityStudyContext(context.Background(), inst, sc)
-}
-
-// DiversityStudyContext is DiversityStudy under a context: cancellation
-// stops the current run through the budget engine and aborts the study
-// with the context's error.
+// L5 neighborhood or global. Cancelling ctx stops the current run
+// through the budget engine and aborts the study with the context's
+// error.
 func DiversityStudyContext(ctx context.Context, inst *etc.Instance, sc Scale) ([]DiversitySeries, error) {
 	sc = sc.withDefaults()
 	gens := int64(40)
@@ -73,14 +72,13 @@ func DiversityStudyContext(ctx context.Context, inst *etc.Instance, sc Scale) ([
 		{"cellular", cellular(1)},
 		{"cellular-3t", cellular(3)},
 		{"panmictic", func(seed uint64) ([]float64, error) {
-			res, err := baselines.GenerationalContext(ctx, inst, baselines.GenerationalConfig{
+			res, err := baselines.GenerationalSolver{Config: baselines.GenerationalConfig{
 				PopSize:         256,
 				Seed:            seed,
-				MaxGenerations:  gens,
 				CrossProb:       0.9,
 				MutProb:         0.2,
 				RecordDiversity: true,
-			})
+			}}.Solve(ctx, inst, solver.Budget{MaxGenerations: gens})
 			if err != nil {
 				return nil, err
 			}

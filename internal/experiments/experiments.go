@@ -132,18 +132,13 @@ var Fig4LSIterations = []int{0, 1, 5, 10}
 // Fig4MaxThreads is the paper's thread sweep bound.
 const Fig4MaxThreads = 4
 
-// Fig4 measures evaluation throughput for threads 1..4 and H2LL
-// iteration budgets {0, 1, 5, 10} on one instance. The scale must use a
-// wall-clock budget: speedup compares work done in equal time, so an
-// evaluation budget would be circular. Replications run sequentially so
-// the measured run has the machine to itself.
-func Fig4(inst *etc.Instance, sc Scale) ([]Fig4Row, error) {
-	return Fig4Context(context.Background(), inst, sc)
-}
-
-// Fig4Context is Fig4 under a context: cancellation stops the current
-// run through the budget engine and aborts the experiment with the
-// context's error.
+// Fig4Context measures evaluation throughput for threads 1..4 and
+// H2LL iteration budgets {0, 1, 5, 10} on one instance. The scale must
+// use a wall-clock budget: speedup compares work done in equal time, so
+// an evaluation budget would be circular. Replications run sequentially
+// so the measured run has the machine to itself. Cancelling ctx stops
+// the current run through the budget engine and aborts the experiment
+// with the context's error.
 func Fig4Context(ctx context.Context, inst *etc.Instance, sc Scale) ([]Fig4Row, error) {
 	sc = sc.withDefaults()
 	if sc.WallTime <= 0 {
@@ -248,13 +243,8 @@ type Fig5Cell struct {
 	Box       stats.BoxPlot
 }
 
-// Fig5 runs the four configurations on each instance at the scale's
-// thread count and budget.
-func Fig5(instances []*etc.Instance, sc Scale) ([]Fig5Cell, error) {
-	return Fig5Context(context.Background(), instances, sc)
-}
-
-// Fig5Context is Fig5 under a context; see Fig4Context for the
+// Fig5Context runs the four configurations on each instance at the
+// scale's thread count and budget; see Fig4Context for the
 // cancellation contract.
 func Fig5Context(ctx context.Context, instances []*etc.Instance, sc Scale) ([]Fig5Cell, error) {
 	sc = sc.withDefaults()
@@ -362,10 +352,10 @@ func RenderFig5(cells []Fig5Cell) string {
 // --- Table 2: literature comparison ---
 
 // Table2Comparators are the registry names of the default literature
-// comparator columns, in display order. Table2 resolves them through
-// solver.Lookup, so adding a comparator means registering a solver and
-// appending its name here (or passing a custom list to Table2Solvers) —
-// not growing a switch.
+// comparator columns, in display order. Table2Context resolves them
+// through solver.Lookup, so adding a comparator means registering a
+// solver and appending its name here (or passing a custom list to
+// Table2SolversContext) — not growing a switch.
 var Table2Comparators = []string{"struggle", "cma-lth"}
 
 // Table2Cell is one comparator column of a row: the solver's registry
@@ -405,33 +395,23 @@ func (r Table2Row) BestIsPACGA() bool {
 	return r.Short == best || r.Full == best
 }
 
-// Table2 runs the default comparator columns against PA-CGA on each
-// instance, reproducing the paper's comparison *semantics*: the
+// Table2Context runs the default comparator columns against PA-CGA on
+// each instance, reproducing the paper's comparison *semantics*: the
 // published Struggle GA and cMA+LTH numbers were produced by 90-second
 // runs on hardware the paper measures to be ~9× slower (the TSCP
 // calibration), so the comparators receive budget/ShortDivisor — the
 // same effective compute as the paper's comparators had. PA-CGA appears
 // at that same short budget (the paper's "10 sec" column: an
 // equal-compute comparison) and at the full budget (the paper's
-// headline 90 s column).
-func Table2(instances []*etc.Instance, sc Scale) ([]Table2Row, error) {
-	return Table2SolversContext(context.Background(), instances, sc, Table2Comparators)
-}
-
-// Table2Context is Table2 under a context; see Fig4Context for the
-// cancellation contract.
+// headline 90 s column). See Fig4Context for the cancellation
+// contract.
 func Table2Context(ctx context.Context, instances []*etc.Instance, sc Scale) ([]Table2Row, error) {
 	return Table2SolversContext(ctx, instances, sc, Table2Comparators)
 }
 
-// Table2Solvers is Table2 with an explicit comparator column list:
-// every name is resolved through the solver registry and run at the
-// short budget through the unified Solver interface.
-func Table2Solvers(instances []*etc.Instance, sc Scale, comparators []string) ([]Table2Row, error) {
-	return Table2SolversContext(context.Background(), instances, sc, comparators)
-}
-
-// Table2SolversContext is Table2Solvers under a context.
+// Table2SolversContext is Table2Context with an explicit comparator
+// column list: every name is resolved through the solver registry and
+// run at the short budget through the unified Solver interface.
 func Table2SolversContext(ctx context.Context, instances []*etc.Instance, sc Scale, comparators []string) ([]Table2Row, error) {
 	sc = sc.withDefaults()
 	solvers := make([]solver.Solver, len(comparators))
@@ -542,13 +522,8 @@ type Fig6Series struct {
 	Mean    []float64
 }
 
-// Fig6 records convergence for 1..4 threads on one instance.
-func Fig6(inst *etc.Instance, sc Scale) ([]Fig6Series, error) {
-	return Fig6Context(context.Background(), inst, sc)
-}
-
-// Fig6Context is Fig6 under a context; see Fig4Context for the
-// cancellation contract.
+// Fig6Context records convergence for 1..4 threads on one instance;
+// see Fig4Context for the cancellation contract.
 func Fig6Context(ctx context.Context, inst *etc.Instance, sc Scale) ([]Fig6Series, error) {
 	sc = sc.withDefaults()
 	var out []Fig6Series

@@ -73,6 +73,7 @@ func Conformance(t *testing.T, name string) {
 	t.Run("BudgetEvaluations", func(t *testing.T) { checkBudgetEvaluations(t, s) })
 	t.Run("BudgetWallClock", func(t *testing.T) { checkBudgetWallClock(t, s) })
 	t.Run("ZeroBudget", func(t *testing.T) { checkZeroBudget(t, s) })
+	t.Run("GenerationsOnly", func(t *testing.T) { checkGenerationsOnly(t, s) })
 	t.Run("SeedDeterminism", func(t *testing.T) { checkSeedDeterminism(t, s) })
 	t.Run("Cancellation", func(t *testing.T) { checkCancellation(t, s) })
 	t.Run("NoGoroutineLeak", func(t *testing.T) { checkNoGoroutineLeak(t, s) })
@@ -209,6 +210,22 @@ func checkZeroBudget(t *testing.T, s solver.Solver) {
 		return // rejected: the iterative-solver half of the contract
 	}
 	requireValidResult(t, out.res)
+}
+
+// checkGenerationsOnly submits a budget whose only bound is a
+// generation count. A solver must either reject it or enforce it: stop
+// on its own and report the bound as effective. Zero-budget solvers
+// (a single evaluation) ignore budgets altogether.
+func checkGenerationsOnly(t *testing.T, s solver.Solver) {
+	const gens = 3
+	out := boundedSolve(t, seeded(s), context.Background(), solver.Budget{MaxGenerations: gens}, ReturnGrace)
+	if out.err != nil {
+		return // rejected: the solver has no generations to bound
+	}
+	requireValidResult(t, out.res)
+	if out.res.Evaluations > 1 && out.res.EffectiveBudget.MaxGenerations != gens {
+		t.Fatalf("accepted a generations-only budget but reports effective budget %s", out.res.EffectiveBudget)
+	}
 }
 
 func checkSeedDeterminism(t *testing.T, s solver.Solver) {

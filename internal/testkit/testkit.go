@@ -17,7 +17,9 @@
 //     evaluation budget beyond the engine's documented one-step-per-
 //     worker granularity, wall-clock budgets stop the run promptly, and
 //     a zero budget is either rejected (iterative solvers) or trivially
-//     satisfied (zero-budget constructive heuristics);
+//     satisfied (zero-budget constructive heuristics), and a
+//     generations-only budget is either rejected or enforced and
+//     reported as effective;
 //   - seed determinism: solvers that declare solver.Reproducible
 //     reproduce bit-identical results for equal seeds under a
 //     deterministic budget;

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
+	"fmt"
 	"hash/fnv"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"sort"
 	"strings"
 	"testing"
@@ -341,5 +345,88 @@ func TestSolveFingerprints(t *testing.T) {
 		if _, ok := got[k]; !ok {
 			t.Errorf("golden fingerprint %s was not produced", k)
 		}
+	}
+}
+
+// TestSolveGenerationsOnlyBudget submits a generations-only budget,
+// directly through Solve and as a service job over HTTP. The cellular
+// engines enforce it (cma-lth runs on the synchronous engine, so it
+// must stop after exactly the requested generations like sync-cga);
+// the steady-state Struggle GA has no generations and must reject the
+// budget with a message naming the bound it cannot enforce.
+func TestSolveGenerationsOnlyBudget(t *testing.T) {
+	in := solveTestInstance(t)
+	svc := NewService(ServiceConfig{})
+	ts := httptest.NewServer(svc.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		svc.Close()
+	})
+	const gens = 3
+	cases := []struct {
+		name    string
+		wantErr string // non-empty: the budget must be rejected with this in the error
+	}{
+		{name: "cma-lth"},
+		{name: "sync-cga"},
+		{name: "struggle", wantErr: "MaxGenerations"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Solve(tc.name, in, SolveOptions{Budget: Budget{MaxGenerations: gens}})
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("Solve: error %v, want one naming %s", err, tc.wantErr)
+				}
+			} else if err != nil {
+				t.Fatalf("Solve: %v", err)
+			} else if res.Generations != gens || res.EffectiveBudget.MaxGenerations != gens {
+				t.Fatalf("Solve: %d generations under budget %v, want %d", res.Generations, res.EffectiveBudget, gens)
+			}
+
+			body := fmt.Sprintf(`{"solver":%q,"instance":"u_i_hihi.0@24x4","budget":{"max_generations":%d}}`, tc.name, gens)
+			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var submitted struct {
+				ID string `json:"id"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&submitted)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("submit: status %d, %v", resp.StatusCode, err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			if _, err := svc.Wait(ctx, submitted.ID); err != nil {
+				t.Fatal(err)
+			}
+			resp, err = http.Get(ts.URL + "/v1/jobs/" + submitted.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var job struct {
+				State  string `json:"state"`
+				Error  string `json:"error"`
+				Result *struct {
+					Generations int64 `json:"generations"`
+				} `json:"result"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&job)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.wantErr != "" {
+				if job.State != string(JobFailed) || !strings.Contains(job.Error, tc.wantErr) {
+					t.Fatalf("HTTP job: state %s, error %q; want failed naming %s", job.State, job.Error, tc.wantErr)
+				}
+				return
+			}
+			if job.State != string(JobDone) || job.Result == nil || job.Result.Generations != gens {
+				t.Fatalf("HTTP job: state %s, error %q, result %+v; want done after %d generations", job.State, job.Error, job.Result, gens)
+			}
+		})
 	}
 }
