@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -50,7 +51,8 @@ func (s *Server) Handler() http.Handler {
 	return obs.Instrument(s.met.http, mux)
 }
 
-// jobRequest is the submit body.
+// jobRequest is the submit body, decoded by decodeSubmit (submit.go);
+// the json tags give its wire names.
 type jobRequest struct {
 	Solver   string      `json:"solver"`
 	Instance string      `json:"instance,omitempty"`
@@ -231,10 +233,20 @@ func (s *Server) submitBodyLimit() int64 {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req jobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.submitBodyLimit()))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	limit := s.submitBodyLimit()
+	buf := bodyBufs.Get().(*[]byte)
+	body, readErr := readBody(http.MaxBytesReader(w, r.Body, limit), *buf, limit)
+	req, err := decodeSubmit(body, s.cfg.MaxMatrixEntries)
+	if cap(body) <= maxPooledBody {
+		*buf = body
+		bodyBufs.Put(buf)
+	}
+	if err != nil {
+		// A value cut short where the read failed is the read's error:
+		// 413 for a body past the limit.
+		if readErr != nil && (err == io.EOF || err == io.ErrUnexpectedEOF) {
+			err = readErr
+		}
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
