@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"gridsched/internal/islands"
 	"gridsched/internal/solver"
 )
 
@@ -255,8 +256,9 @@ func fingerprintOf(res *SolverResult) fingerprint {
 }
 
 // goldenFingerprints holds the outputs of every reproducible registered
-// solver (plus single-threaded RunContext) at seed 11 and a 3000
-// evaluation budget. A refactor that claims to be behaviour-preserving
+// solver (plus single-threaded RunContext and a one-island island
+// model, which runs in one goroutine) at seed 11 and a 3000 evaluation
+// budget. A refactor that claims to be behaviour-preserving
 // must leave every entry unchanged; a deliberate behaviour change
 // updates the table and says why.
 var goldenFingerprints = map[string]fingerprint{
@@ -268,6 +270,8 @@ var goldenFingerprints = map[string]fingerprint{
 	"generational/24x4":              {0x4142aca0aeaa3250, 0x8f021acb984f6dc6},
 	"h2ll/u_c_hihi.0@128x8":          {0x41543b4f7bca5917, 0x7350890f5b3abde1},
 	"h2ll/24x4":                      {0x41428b3aa12c566d, 0xfac2da135534066},
+	"islands-1/u_c_hihi.0@128x8":     {0x4153f17fe2925556, 0x98d1c65a28203c40},
+	"islands-1/24x4":                 {0x41410a85443ba4ad, 0xd7da51f83f2353e5},
 	"ljfr-sjfr/u_c_hihi.0@128x8":     {0x415946d4b1bcfd7d, 0x58eccd7cefaf57c7},
 	"ljfr-sjfr/24x4":                 {0x41449d11569ef1b4, 0xda35de9a0e9879c4},
 	"maxmin/u_c_hihi.0@128x8":        {0x415dfe68abe3e26c, 0x27ac51f5a4a42944},
@@ -291,8 +295,9 @@ var goldenFingerprints = map[string]fingerprint{
 }
 
 // TestSolveFingerprints runs every registered solver that declares
-// itself reproducible, plus RunContext at Threads: 1, and compares the
-// output against goldenFingerprints.
+// itself reproducible, plus RunContext at Threads: 1 and the island
+// model with one island, and compares the output against
+// goldenFingerprints.
 func TestSolveFingerprints(t *testing.T) {
 	small := solveTestInstance(t)
 	braun, err := GenerateInstance("u_c_hihi.0@128x8")
@@ -325,6 +330,12 @@ func TestSolveFingerprints(t *testing.T) {
 			t.Fatal(err)
 		}
 		got["RunContext-t1/"+label] = fingerprintOf(res)
+		isl := islands.Solver{Config: islands.Config{Islands: 1, SeedMinMin: true, Seed: seed}}
+		res, err = isl.Solve(context.Background(), in, Budget{MaxEvaluations: evals})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got["islands-1/"+label] = fingerprintOf(res)
 	}
 	keys := make([]string, 0, len(got))
 	for k := range got {
