@@ -1,5 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (§4), plus the ablation benches called out in DESIGN.md.
+// evaluation (§4), plus ablation benches for the design choices the
+// paper argues for (ETC layout, incremental evaluation, H2LL candidate
+// set, asynchronous vs synchronous replacement).
 // Budgets are scaled down so `go test -bench=.` finishes on a laptop;
 // the cmd/experiments binary runs the same experiments at any scale.
 package gridsched
@@ -251,30 +253,6 @@ func BenchmarkETCLayoutRowMajor(b *testing.B) {
 	_ = sink
 }
 
-// --- Ablation 2: locking strategy ---
-
-// BenchmarkLockingStrategy compares the paper's per-individual RW locks
-// against a per-individual plain mutex and one global mutex, at 4
-// threads and a fixed evaluation budget; throughput differences show how
-// much the shared-read design buys.
-func BenchmarkLockingStrategy(b *testing.B) {
-	in := benchInstance(b, "u_c_hihi.0")
-	for _, mode := range []core.LockMode{core.PerCellRWMutex, core.PerCellMutex, core.GlobalMutex} {
-		b.Run(mode.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p := DefaultParams()
-				p.Threads = 4
-				p.LockMode = mode
-				p.Seed = uint64(i)
-				p.MaxEvaluations = 4000
-				if _, err := RunContext(context.Background(), in, p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- Evaluation engine: indexed completion times ---
 
 // benchEvalInstance generates a 512×M instance of the paper's hihi
@@ -418,7 +396,7 @@ func BenchmarkMoveMakespanScanRef(b *testing.B) {
 	}
 }
 
-// --- Ablation 3: incremental vs full fitness evaluation ---
+// --- Ablation 2: incremental vs full fitness evaluation ---
 
 func BenchmarkIncrementalEval(b *testing.B) {
 	in := benchInstance(b, "u_c_hihi.0")
@@ -440,7 +418,7 @@ func BenchmarkFullRecomputeEval(b *testing.B) {
 	_ = sink
 }
 
-// --- Ablation 4: H2LL candidate-set size ---
+// --- Ablation 3: H2LL candidate-set size ---
 
 func BenchmarkH2LLCandidates(b *testing.B) {
 	in := benchInstance(b, "u_c_hihi.0")
@@ -457,7 +435,7 @@ func BenchmarkH2LLCandidates(b *testing.B) {
 	}
 }
 
-// --- Ablation 5: asynchronous vs synchronous cellular GA ---
+// --- Ablation 4: asynchronous vs synchronous cellular GA ---
 
 func BenchmarkAsyncVsSync(b *testing.B) {
 	in := benchInstance(b, "u_c_hihi.0")

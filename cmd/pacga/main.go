@@ -41,7 +41,6 @@ import (
 	"gridsched/internal/baselines"
 	"gridsched/internal/cliutil"
 	"gridsched/internal/core"
-	"gridsched/internal/islands"
 	"gridsched/internal/obs"
 	"gridsched/internal/operators"
 	"gridsched/internal/solver"
@@ -199,20 +198,12 @@ func engineSolver(engine string, p gridsched.Params) (gridsched.Solver, error) {
 	case "sync":
 		return core.SyncCGA{Params: p}, nil
 	case "islands":
-		return islands.Solver{Config: islands.Config{
-			Islands:      p.Threads,
-			Neighborhood: p.Neighborhood,
-			Selector:     p.Selector,
-			Crossover:    p.Crossover,
-			CrossProb:    p.CrossProb,
-			Mutation:     p.Mutation,
-			MutProb:      p.MutProb,
-			Local:        p.Local,
-			LocalProb:    p.LocalProb,
-			Replacement:  p.Replacement,
-			SeedMinMin:   !p.DisableMinMinSeed,
-			Seed:         p.Seed,
-		}}, nil
+		// -threads sets the island count; each island keeps the
+		// registered 8×8 mesh and migration policy.
+		isl := core.DefaultIslands()
+		p.GridW, p.GridH = isl.Params.GridW, isl.Params.GridH
+		isl.Params = p
+		return isl, nil
 	case "struggle":
 		return baselines.StruggleSolver{Config: baselines.StruggleConfig{
 			Crossover:  p.Crossover,

@@ -24,7 +24,7 @@ func BenchmarkPopulationInit(b *testing.B) {
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				newPopulation(in, 256, rngForTest(uint64(i)), true, nil, PerCellRWMutex, makespan)
+				newPopulation(in, 256, rngForTest(uint64(i)), true, nil, makespan)
 			}
 		})
 	}

@@ -96,7 +96,6 @@ func TestRunParamValidation(t *testing.T) {
 		func(p *Params) { p.CrossProb = 1.5 },
 		func(p *Params) { p.MutProb = -0.1 },
 		func(p *Params) { p.LocalProb = 2 },
-		func(p *Params) { p.LockMode = NoLock; p.Threads = 2 },
 	}
 	for i, mutate := range bad {
 		p := DefaultParams()
@@ -216,18 +215,14 @@ func TestRunBestMatchesSchedule(t *testing.T) {
 	}
 }
 
-func TestRunMultiThreadedAllLockModes(t *testing.T) {
+func TestRunMultiThreaded(t *testing.T) {
 	in := testInstance(t, 8)
-	for _, mode := range []LockMode{PerCellRWMutex, PerCellMutex, GlobalMutex} {
-		p := smallParams(4, 11)
-		p.LockMode = mode
-		res, err := run(in, p)
-		if err != nil {
-			t.Fatalf("mode %v: %v", mode, err)
-		}
-		if err := res.Best.Validate(); err != nil {
-			t.Fatalf("mode %v: corrupt best schedule: %v", mode, err)
-		}
+	res, err := run(in, smallParams(4, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Best.Validate(); err != nil {
+		t.Fatalf("corrupt best schedule: %v", err)
 	}
 }
 
@@ -454,13 +449,12 @@ func TestAsyncConvergesFasterThanSyncOnGenerations(t *testing.T) {
 }
 
 func TestAggregateSeriesWeighting(t *testing.T) {
-	blocks := []topology.Block{{Start: 0, End: 3}, {Start: 3, End: 4}}
 	ws := []*worker{
-		{conv: []float64{10, 8}},
-		{conv: []float64{20}},
+		{block: topology.Block{Start: 0, End: 3}, conv: []float64{10, 8}},
+		{block: topology.Block{Start: 3, End: 4}, conv: []float64{20}},
 	}
 	get := func(w *worker) []float64 { return w.conv }
-	got := aggregateSeries(ws, blocks, get)
+	got := aggregateSeries(ws, get)
 	if len(got) != 2 {
 		t.Fatalf("series length %d", len(got))
 	}
@@ -468,7 +462,7 @@ func TestAggregateSeriesWeighting(t *testing.T) {
 	if got[0] != 12.5 || got[1] != 11 {
 		t.Fatalf("aggregate = %v, want [12.5 11]", got)
 	}
-	if aggregateSeries([]*worker{{}, {}}, blocks, get) != nil {
+	if aggregateSeries([]*worker{{}, {}}, get) != nil {
 		t.Fatal("empty convergence should aggregate to nil")
 	}
 }
@@ -523,14 +517,14 @@ func TestRunSyncDiversityRecording(t *testing.T) {
 
 func TestBlockDiversityBounds(t *testing.T) {
 	in := testInstance(t, 27)
-	pop := newPopulation(in, 16, rngForTest(1), false, nil, NoLock, func(s *schedule.Schedule) float64 { return s.Makespan() })
+	pop := newPopulation(in, 16, rngForTest(1), false, nil, func(s *schedule.Schedule) float64 { return s.Makespan() })
 	_, d := pop.blockDiversity(0, 16, nil)
 	if d <= 0 || d >= 1 {
 		t.Fatalf("random population diversity %v", d)
 	}
 	// Make all individuals identical: diversity 0.
 	for i := 1; i < 16; i++ {
-		pop.sched(i).CopyFrom(pop.sched(0))
+		pop.arena.At(i).CopyFrom(pop.arena.At(0))
 		pop.fit[i] = pop.fit[0]
 	}
 	if _, d := pop.blockDiversity(0, 16, nil); d != 0 {
@@ -596,20 +590,6 @@ func TestFlowtimeObjectiveFitnessSemantics(t *testing.T) {
 	want := 0.5*res.Best.Makespan() + 0.5*res.Best.Flowtime()/float64(in.T)
 	if diff := res.BestFitness - want; diff > 1e-6*want || diff < -1e-6*want {
 		t.Fatalf("BestFitness %v, want weighted objective %v", res.BestFitness, want)
-	}
-}
-
-func TestLockModeString(t *testing.T) {
-	names := map[LockMode]string{
-		PerCellRWMutex: "rwmutex",
-		PerCellMutex:   "mutex",
-		GlobalMutex:    "global",
-		NoLock:         "none",
-	}
-	for m, want := range names {
-		if m.String() != want {
-			t.Fatalf("LockMode %d string %q, want %q", int(m), m.String(), want)
-		}
 	}
 }
 

@@ -7,9 +7,14 @@
 // their blocks independently — no generation barrier — and neighborhoods
 // crossing block boundaries are the only communication. Shared access is
 // synchronized with one read-write lock per individual, mirroring the
-// paper's POSIX rwlocks. A synchronous single-threaded cellular GA is
-// included for the async-vs-sync ablation and as the substrate of the
-// cMA baseline.
+// paper's POSIX rwlocks.
+//
+// Two more cellular engines run on the same population type and the
+// same breeding step, differing only in their replacement policy: a
+// synchronous single-threaded cellular GA (the async-vs-sync ablation
+// and the substrate of the cMA baseline), which installs a whole
+// generation at once, and an island model (Islands), where each thread
+// evolves a private population and elites migrate around a ring.
 package core
 
 import (
@@ -21,41 +26,6 @@ import (
 	"gridsched/internal/solver"
 	"gridsched/internal/topology"
 )
-
-// LockMode selects the synchronization strategy guarding individuals.
-// The paper uses read-write locks; the other modes exist for the locking
-// ablation benchmark (DESIGN.md §4.2).
-type LockMode int
-
-const (
-	// PerCellRWMutex is the paper's scheme: one sync.RWMutex per
-	// individual, shared reads, exclusive writes.
-	PerCellRWMutex LockMode = iota
-	// PerCellMutex degrades reads to exclusive: one plain mutex per
-	// individual.
-	PerCellMutex
-	// GlobalMutex serializes every individual access behind a single
-	// population-wide mutex.
-	GlobalMutex
-	// NoLock disables locking entirely. Only valid with one thread.
-	NoLock
-)
-
-// String implements fmt.Stringer.
-func (m LockMode) String() string {
-	switch m {
-	case PerCellRWMutex:
-		return "rwmutex"
-	case PerCellMutex:
-		return "mutex"
-	case GlobalMutex:
-		return "global"
-	case NoLock:
-		return "none"
-	default:
-		return fmt.Sprintf("LockMode(%d)", int(m))
-	}
-}
 
 // Params collects every knob of PA-CGA. DefaultParams returns the paper's
 // Table 1 configuration; zero values for the interface-typed operators
@@ -86,7 +56,8 @@ type Params struct {
 	// Replacement installs the offspring (Table 1: replace if better).
 	Replacement operators.Replacement
 	// Threads is the number of population blocks / worker goroutines
-	// (Table 1: 1–4; §4.2 finds 3 best and we default to 3).
+	// (Table 1: 1–4; §4.2 finds 3 best and we default to 3). The island
+	// model reads it as the island count.
 	Threads int
 	// Sweep is the per-block cell visiting order (Table 1: fixed line
 	// sweep per block).
@@ -124,9 +95,6 @@ type Params struct {
 	// machine m). Diversity preservation is the cellular GA's raison
 	// d'être (§3.1); the series quantifies it.
 	RecordDiversity bool
-	// LockMode selects the synchronization ablation variant; the zero
-	// value is the paper's per-individual RW lock.
-	LockMode LockMode
 	// FlowtimeWeight extends the paper's single-objective fitness
 	// (§2.2, makespan only — the zero value) to the weighted sum
 	//
@@ -250,9 +218,6 @@ func (p Params) validate() error {
 	}
 	if p.FlowtimeWeight < 0 || p.FlowtimeWeight > 1 {
 		return fmt.Errorf("core: FlowtimeWeight = %v outside [0,1]", p.FlowtimeWeight)
-	}
-	if p.LockMode == NoLock && p.Threads > 1 {
-		return fmt.Errorf("core: LockMode NoLock requires a single thread")
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sort"
 	"sync"
 
 	"gridsched/internal/etc"
@@ -9,23 +10,22 @@ import (
 	"gridsched/internal/schedule"
 )
 
-// population is the shared 2-D population storage with pluggable
-// locking, laid out as a structure of arrays: the cells' genomes and
-// completion times live in one schedule.Arena (contiguous assignment
-// and CT planes), the cached fitnesses in one contiguous lane, and the
+// population is the 2-D population storage of every cellular engine,
+// laid out as a structure of arrays: the cells' genomes and completion
+// times live in one schedule.Arena (contiguous assignment and CT
+// planes), the cached fitnesses in one contiguous lane, and the
 // per-cell read-write locks — the paper's POSIX rwlocks (§3.2) — in
 // their own slice. Generation-scale sweeps (fitness scans, diversity
 // measures, block means) therefore stream sequential memory instead of
-// chasing one heap allocation per cell.
+// chasing one heap allocation per cell. Every access goes through the
+// cell's lock; in the synchronous engine and on an island the locks are
+// uncontended.
 type population struct {
 	arena *schedule.Arena
 	// fit caches each cell's fitness; guarded by the same lock as the
 	// cell's schedule.
-	fit  []float64
-	mus  []sync.RWMutex
-	mode LockMode
-	// global backs the GlobalMutex ablation mode.
-	global sync.Mutex
+	fit []float64
+	mus []sync.RWMutex
 }
 
 // newPopulation initializes size individuals on inst: all random except,
@@ -38,7 +38,7 @@ type population struct {
 // historical per-cell NewRandom loop), the drawn assignment planes are
 // loaded through the batched bulk kernel, and fitness is computed with
 // the engine's objective function in cell order.
-func newPopulation(inst *etc.Instance, size int, r *rng.Rand, seedMinMin bool, warm *schedule.Schedule, mode LockMode, eval func(*schedule.Schedule) float64) *population {
+func newPopulation(inst *etc.Instance, size int, r *rng.Rand, seedMinMin bool, warm *schedule.Schedule, eval func(*schedule.Schedule) float64) *population {
 	if warm != nil && warm.Inst != inst {
 		warm = nil // foreign schedule: ignore rather than corrupt the population
 	}
@@ -46,7 +46,6 @@ func newPopulation(inst *etc.Instance, size int, r *rng.Rand, seedMinMin bool, w
 		arena: schedule.NewArena(inst, size),
 		fit:   make([]float64, size),
 		mus:   make([]sync.RWMutex, size),
-		mode:  mode,
 	}
 	drawn := make([]*schedule.Schedule, 0, size)
 	for i := 0; i < size; i++ {
@@ -72,75 +71,22 @@ func newPopulation(inst *etc.Instance, size int, r *rng.Rand, seedMinMin bool, w
 
 func (p *population) size() int { return p.arena.Len() }
 
-// sched returns cell i's schedule (an arena view; the pointer is stable
-// for the population's lifetime). Access is subject to the same locking
-// protocol as fit.
-func (p *population) sched(i int) *schedule.Schedule { return p.arena.At(i) }
-
-// rlock acquires read access to cell i under the configured mode.
-func (p *population) rlock(i int) {
-	switch p.mode {
-	case PerCellRWMutex:
-		p.mus[i].RLock()
-	case PerCellMutex:
-		p.mus[i].Lock()
-	case GlobalMutex:
-		p.global.Lock()
-	case NoLock:
-	}
-}
-
-func (p *population) runlock(i int) {
-	switch p.mode {
-	case PerCellRWMutex:
-		p.mus[i].RUnlock()
-	case PerCellMutex:
-		p.mus[i].Unlock()
-	case GlobalMutex:
-		p.global.Unlock()
-	case NoLock:
-	}
-}
-
-// lock acquires write access to cell i under the configured mode.
-func (p *population) lock(i int) {
-	switch p.mode {
-	case PerCellRWMutex, PerCellMutex:
-		p.mus[i].Lock()
-	case GlobalMutex:
-		p.global.Lock()
-	case NoLock:
-	}
-}
-
-func (p *population) unlock(i int) {
-	switch p.mode {
-	case PerCellRWMutex, PerCellMutex:
-		p.mus[i].Unlock()
-	case GlobalMutex:
-		p.global.Unlock()
-	case NoLock:
-	}
-}
-
 // fitness returns cell i's cached makespan under a read lock. This is
 // the non-atomic read the paper protects during selection.
 func (p *population) fitness(i int) float64 {
-	p.rlock(i)
+	p.mus[i].RLock()
 	f := p.fit[i]
-	p.runlock(i)
+	p.mus[i].RUnlock()
 	return f
 }
 
 // snapshotInto copies cell i's genome and completion times into dst under
-// a read lock, returning the fitness consistent with the copy. This is
-// the protected parent read of the recombination step.
-func (p *population) snapshotInto(i int, dst *schedule.Schedule) float64 {
-	p.rlock(i)
+// a read lock. This is the protected parent read of the recombination
+// step.
+func (p *population) snapshotInto(i int, dst *schedule.Schedule) {
+	p.mus[i].RLock()
 	dst.CopyFrom(p.arena.At(i))
-	f := p.fit[i]
-	p.runlock(i)
-	return f
+	p.mus[i].RUnlock()
 }
 
 // replaceIf installs cand (with fitness candFit) into cell i if the
@@ -149,13 +95,13 @@ func (p *population) snapshotInto(i int, dst *schedule.Schedule) float64 {
 // comparison re-reads the current fitness inside the critical section, so
 // a concurrent improvement cannot be stomped by a stale offspring.
 func (p *population) replaceIf(i int, policy interface{ Accepts(cur, off float64) bool }, cand *schedule.Schedule, candFit float64) bool {
-	p.lock(i)
+	p.mus[i].Lock()
 	ok := policy.Accepts(p.fit[i], candFit)
 	if ok {
 		p.arena.At(i).CopyFrom(cand)
 		p.fit[i] = candFit
 	}
-	p.unlock(i)
+	p.mus[i].Unlock()
 	return ok
 }
 
@@ -193,13 +139,13 @@ func (p *population) blockDiversity(start, end int, counts []int) ([]int, float6
 		counts[i] = 0
 	}
 	for i := start; i < end; i++ {
-		p.rlock(i)
+		p.mus[i].RLock()
 		for t, m := range p.arena.At(i).S {
 			if m >= 0 {
 				counts[t*machines+m]++
 			}
 		}
-		p.runlock(i)
+		p.mus[i].RUnlock()
 	}
 	total := 0.0
 	inv := 1 / float64(n)
@@ -214,22 +160,65 @@ func (p *population) blockDiversity(start, end int, counts []int) ([]int, float6
 	return counts, total / float64(tasks)
 }
 
-// best scans the population and returns a clone of the best individual
-// and its fitness. Called once after the workers join.
-func (p *population) best() (*schedule.Schedule, float64) {
-	bestIdx := 0
-	p.rlock(0)
-	bestFit := p.fit[0]
-	p.runlock(0)
+// fittest returns the indices of the k fittest cells, best first; equal
+// fitnesses go to the lower index.
+func (p *population) fittest(k int) []int {
+	fit := make([]float64, p.size())
+	idx := make([]int, p.size())
+	for i := range idx {
+		idx[i], fit[i] = i, p.fitness(i)
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return fit[idx[a]] < fit[idx[b]] })
+	return idx[:k]
+}
+
+// bestIndex returns the index and fitness of the fittest cell (the
+// lowest-indexed one on ties).
+func (p *population) bestIndex() (int, float64) {
+	best, bestFit := 0, p.fitness(0)
 	for i := 1; i < p.size(); i++ {
-		f := p.fitness(i)
-		if f < bestFit {
-			bestIdx, bestFit = i, f
+		if f := p.fitness(i); f < bestFit {
+			best, bestFit = i, f
 		}
 	}
-	p.rlock(bestIdx)
-	clone := p.arena.At(bestIdx).Clone()
-	fit := p.fit[bestIdx]
-	p.runlock(bestIdx)
+	return best, bestFit
+}
+
+// best returns a clone of the fittest individual and its fitness.
+// Called once after the workers join.
+func (p *population) best() (*schedule.Schedule, float64) {
+	i, _ := p.bestIndex()
+	p.mus[i].RLock()
+	clone := p.arena.At(i).Clone()
+	fit := p.fit[i]
+	p.mus[i].RUnlock()
 	return clone, fit
+}
+
+// emigrant copies cell i's assignment and fitness out as a migrant.
+func (p *population) emigrant(i int) migrant {
+	p.mus[i].RLock()
+	m := migrant{assign: append([]int(nil), p.arena.At(i).S...), fitness: p.fit[i]}
+	p.mus[i].RUnlock()
+	return m
+}
+
+// admit installs m over the population's worst cell (the lowest-indexed
+// one on ties) if m is strictly fitter.
+func (p *population) admit(m migrant) {
+	worst, worstFit := 0, p.fitness(0)
+	for i := 1; i < p.size(); i++ {
+		if f := p.fitness(i); f > worstFit {
+			worst, worstFit = i, f
+		}
+	}
+	p.mus[worst].Lock()
+	if m.fitness < p.fit[worst] {
+		s := p.arena.At(worst)
+		for t, mac := range m.assign {
+			s.SetAssignment(t, mac)
+		}
+		p.fit[worst] = m.fitness
+	}
+	p.mus[worst].Unlock()
 }

@@ -100,4 +100,5 @@ func (s SyncCGA) Solve(ctx context.Context, inst *etc.Instance, b solver.Budget)
 func init() {
 	solver.Register(PACGA{Params: DefaultParams()})
 	solver.Register(SyncCGA{Params: DefaultParams()})
+	solver.Register(DefaultIslands())
 }

@@ -285,16 +285,6 @@ func (in *Instance) TaskCosts(t int) []float64 { return in.Row[t*in.M : (t+1)*in
 // not be modified.
 func (in *Instance) MachineCosts(m int) []float64 { return in.Col[m*in.T : (m+1)*in.T] }
 
-// MachineRow is MachineCosts under its historical name.
-//
-// Deprecated: use MachineCosts.
-func (in *Instance) MachineRow(m int) []float64 { return in.MachineCosts(m) }
-
-// TaskRow is TaskCosts under its historical name.
-//
-// Deprecated: use TaskCosts.
-func (in *Instance) TaskRow(t int) []float64 { return in.TaskCosts(t) }
-
 // Validate checks structural invariants: positive dimensions, matching
 // buffer sizes, strictly positive finite entries, mutually transposed
 // layouts and non-negative ready times.
@@ -451,7 +441,10 @@ const (
 // semi-consistent: even-indexed columns only).
 //
 // This substitutes for the original u_x_yyzz.k data files, which are not
-// redistributable here; see DESIGN.md §2 for the equivalence argument.
+// redistributable here. Those files were produced by this same method
+// with the same heterogeneity ranges, so a generated instance matches
+// its class's statistics (heterogeneity and consistency) though not
+// the original values.
 func Generate(spec GenSpec) (*Instance, error) {
 	if spec.Tasks <= 0 {
 		spec.Tasks = DefaultTasks

@@ -220,21 +220,23 @@ func TestLayoutsAgree(t *testing.T) {
 	}
 }
 
+// TestMachineRowAliases checks that the slice accessors read the same
+// costs as the per-element ETC and ETCRow lookups.
 func TestMachineRowAliases(t *testing.T) {
 	in, _ := Generate(GenSpec{Class: Class{Consistency: Inconsistent, TaskHet: Low, MachineHet: Low}, Tasks: 10, Machines: 3, Seed: 9})
-	row := in.MachineRow(2)
+	row := in.MachineCosts(2)
 	if len(row) != in.T {
-		t.Fatalf("MachineRow length %d, want %d", len(row), in.T)
+		t.Fatalf("MachineCosts length %d, want %d", len(row), in.T)
 	}
 	for task := 0; task < in.T; task++ {
 		if row[task] != in.ETC(task, 2) {
-			t.Fatalf("MachineRow disagrees at task %d", task)
+			t.Fatalf("MachineCosts disagrees at task %d", task)
 		}
 	}
-	tr := in.TaskRow(4)
+	tr := in.TaskCosts(4)
 	for m := 0; m < in.M; m++ {
 		if tr[m] != in.ETCRow(4, m) {
-			t.Fatalf("TaskRow disagrees at machine %d", m)
+			t.Fatalf("TaskCosts disagrees at machine %d", m)
 		}
 	}
 }

@@ -36,7 +36,6 @@ var solverPackages = map[string]bool{
 	"gridsched/internal/heuristics": true,
 	"gridsched/internal/tabu":       true,
 	"gridsched/internal/baselines":  true,
-	"gridsched/internal/islands":    true,
 	"gridsched/internal/portfolio":  true,
 }
 

@@ -43,7 +43,6 @@ import (
 	_ "gridsched/internal/baselines"
 	_ "gridsched/internal/core"
 	_ "gridsched/internal/heuristics"
-	_ "gridsched/internal/islands"
 	_ "gridsched/internal/portfolio"
 	_ "gridsched/internal/tabu"
 )

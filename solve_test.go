@@ -15,7 +15,7 @@ import (
 	"testing"
 	"time"
 
-	"gridsched/internal/islands"
+	"gridsched/internal/core"
 	"gridsched/internal/solver"
 )
 
@@ -330,7 +330,9 @@ func TestSolveFingerprints(t *testing.T) {
 			t.Fatal(err)
 		}
 		got["RunContext-t1/"+label] = fingerprintOf(res)
-		isl := islands.Solver{Config: islands.Config{Islands: 1, SeedMinMin: true, Seed: seed}}
+		isl := core.DefaultIslands()
+		isl.Params.Threads = 1
+		isl.Params.Seed = seed
 		res, err = isl.Solve(context.Background(), in, Budget{MaxEvaluations: evals})
 		if err != nil {
 			t.Fatal(err)
